@@ -126,5 +126,6 @@ from .reductions import (
     reduce_nae3sat,
     reduce_planar_variant,
 )
+from .solver import Report, solve
 
 __version__ = "0.1.0"

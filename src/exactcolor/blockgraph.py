@@ -25,7 +25,7 @@ from __future__ import annotations
 import heapq
 
 from .chromatic import chromatic_number
-from .coloring import Coloring, INFEASIBLE, SolveOutcome
+from .coloring import Coloring, INFEASIBLE, SolveOutcome, lift_coloring
 from .errors import BadParameterError, NotABlockGraphError
 from .graphs import BlockCutTree, Graph, block_cut_tree, contract_partition
 
@@ -133,8 +133,4 @@ def blockgraph_chi(
         return INFEASIBLE
     quotient = contract_partition(g, factor)
     q_chi, q_col = chromatic_number(quotient)
-    assign = [0] * g.n
-    for idx, group in enumerate(factor):
-        for v in group:
-            assign[v] = q_col.assign[idx]
-    return SolveOutcome.finite(q_chi, Coloring(q_chi, tuple(assign)))
+    return SolveOutcome.finite(q_chi, lift_coloring(g.n, factor, q_col.assign, q_chi))

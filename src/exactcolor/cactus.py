@@ -26,12 +26,12 @@ explicit interval [2, 3] is returned if the budget ends the search early.
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
-from .coloring import ChiBounds, Coloring, INFEASIBLE, SolveOutcome, monochromatic
+from .chromatic import greedy_coloring, smallest_last_order
+from .coloring import ChiBounds, Coloring, INFEASIBLE, SolveOutcome, lift_coloring, monochromatic
 from .errors import BadParameterError, IncompleteLabelingError, NotACactusError
 from .graphs import (
     BlockCutTree,
@@ -298,33 +298,6 @@ def cactus_chi2(g: Graph, bct: BlockCutTree | None = None) -> SolveOutcome:
     return INFEASIBLE
 
 
-def _degeneracy_coloring(g: Graph) -> list[int]:
-    """Greedy coloring along a smallest-last order; <= 3 colors on outerplanar graphs."""
-    deg = [len(a) for a in g.adj]
-    removed = [False] * g.n
-    heap = [(deg[v], v) for v in range(g.n)]
-    heapq.heapify(heap)
-    order = []
-    while heap:
-        d0, v = heapq.heappop(heap)
-        if removed[v] or d0 != deg[v]:
-            continue
-        removed[v] = True
-        order.append(v)
-        for w in g.adj[v]:
-            if not removed[w]:
-                deg[w] -= 1
-                heapq.heappush(heap, (deg[w], w))
-    color = [-1] * g.n
-    for v in reversed(order):
-        used = {color[w] for w in g.adj[v] if color[w] != -1}
-        c = 0
-        while c in used:
-            c += 1
-        color[v] = c
-    return color
-
-
 def cactus_chi1(
     g: Graph,
     bct: BlockCutTree | None = None,
@@ -353,18 +326,11 @@ def cactus_chi1(
         quotient = contract_partition(g, parts)
         bip, side = is_bipartite(quotient)
         if bip:
-            assign = [0] * g.n
-            for idx, part in enumerate(parts):
-                for v in part:
-                    assign[v] = side[idx]
-            return SolveOutcome.finite(2, Coloring(2, tuple(assign)))
+            return SolveOutcome.finite(2, lift_coloring(g.n, parts, side, 2))
         if fallback is None:
-            q_col = _degeneracy_coloring(quotient)
-            assign = [0] * g.n
-            for idx, part in enumerate(parts):
-                for v in part:
-                    assign[v] = q_col[idx]
-            fallback = Coloring(3, tuple(assign))
+            # smallest-last first fit: <= 3 colors on outerplanar graphs
+            q_col = greedy_coloring(quotient, list(reversed(smallest_last_order(quotient))))
+            fallback = lift_coloring(g.n, parts, q_col, 3)
     if exhaustive:
         return SolveOutcome.finite(3, fallback)
     return ChiBounds(2, 3, fallback)

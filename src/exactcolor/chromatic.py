@@ -12,13 +12,14 @@ chordal graphs of any size.
 
 from __future__ import annotations
 
+import heapq
+
 from .coloring import Coloring
 from .errors import BudgetExceededError
 from .graphs import (
     Graph,
     connected_components,
     induced_subgraph,
-    maximum_cardinality_search,
     perfect_elimination_ordering,
 )
 
@@ -26,15 +27,16 @@ DEFAULT_BUDGET = 10**8
 
 
 class _Budget:
-    __slots__ = ("left",)
+    __slots__ = ("nodes", "left")
 
     def __init__(self, nodes: int):
+        self.nodes = nodes
         self.left = nodes
 
     def spend(self, amount: int = 1):
+        if amount > self.left:
+            raise BudgetExceededError(nodes=self.nodes - self.left)
         self.left -= amount
-        if self.left < 0:
-            raise BudgetExceededError(nodes=self.left)
 
 
 def greedy_coloring(g: Graph, order: list[int] | None = None) -> list[int]:
@@ -51,12 +53,32 @@ def greedy_coloring(g: Graph, order: list[int] | None = None) -> list[int]:
     return color
 
 
+def smallest_last_order(g: Graph) -> list[int]:
+    """Repeatedly remove a vertex of least remaining degree (ties: lowest index)."""
+    deg = [len(a) for a in g.adj]
+    removed = [False] * g.n
+    heap = [(deg[v], v) for v in range(g.n)]
+    heapq.heapify(heap)
+    order = []
+    while heap:
+        d0, v = heapq.heappop(heap)
+        if removed[v] or d0 != deg[v]:
+            continue
+        removed[v] = True
+        order.append(v)
+        for w in g.adj[v]:
+            if not removed[w]:
+                deg[w] -= 1
+                heapq.heappush(heap, (deg[w], w))
+    return order
+
+
 def chordal_greedy(g: Graph) -> tuple[list[int], int] | None:
     """(optimal coloring, clique number) when g is chordal, else None."""
-    if perfect_elimination_ordering(g) is None:
+    peo = perfect_elimination_ordering(g)
+    if peo is None:
         return None
-    order = maximum_cardinality_search(g)
-    color = greedy_coloring(g, order)
+    color = greedy_coloring(g, list(reversed(peo)))  # the maximum-cardinality-search order
     omega = max(color, default=-1) + 1
     return color, omega
 

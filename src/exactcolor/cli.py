@@ -15,20 +15,12 @@ import time
 
 from . import families
 from .blockgraph import blockgraph_chi
-from .cactus import cactus_chi1, cactus_chi2
+from .cactus import cactus_chi2
 from .chromatic import DEFAULT_BUDGET, chromatic_number
-from .closedform import chi_complete, chi_cycle, chi_tree, chi_wheel
-from .coloring import (
-    ChiBounds,
-    SolveOutcome,
-    defects,
-    feasibility_precheck,
-    monochromatic,
-)
-from .errors import BudgetExceededError, ExactColoringError
+from .coloring import defects
+from .errors import ExactColoringError
 from .graph_io import load_graph, read_coloring, write_graph
-from .graphs import Graph, is_connected, is_d_regular, recognize
-from .oracle import brute_chi, brute_solve
+from .oracle import brute_solve
 from .reductions import (
     lift_solution,
     nae_satisfiable,
@@ -38,6 +30,7 @@ from .reductions import (
     reduce_nae3sat,
     reduce_planar_variant,
 )
+from .solver import ALGORITHMS, solve
 
 EXIT_ANSWERED = 0
 EXIT_USAGE = 1
@@ -45,185 +38,11 @@ EXIT_UNKNOWN = 2
 EXIT_INVALID = 3
 
 
-def _is_complete_graph(g: Graph) -> bool:
-    return g.n >= 1 and g.m == g.n * (g.n - 1) // 2
-
-
-def _is_cycle_graph(g: Graph) -> bool:
-    return g.n >= 3 and is_d_regular(g, 2) and is_connected(g)
-
-
-def _wheel_order(g: Graph) -> int | None:
-    """n if g is a wheel W_n (hub + rim cycle), else None."""
-    if g.n < 4:
-        return None
-    hubs = [v for v in range(g.n) if len(g.adj[v]) == g.n - 1]
-    for hub in hubs:
-        rim = [v for v in range(g.n) if v != hub]
-        if all(sum(1 for u in g.adj[v] if u != hub) == 2 for v in rim):
-            # rim is 2-regular; connectivity of g makes it a single cycle
-            if is_connected(g):
-                return g.n
-    return None
-
-
-def _dispatch_auto(g: Graph, d: int, budget: int):
-    """Pick the cheapest correct solver; returns (outcome-or-bounds, name)."""
-    if d == 0:
-        chi, col = chromatic_number(g, budget)
-        return SolveOutcome.finite(chi, col), "chromatic"
-    if not feasibility_precheck(g, d):
-        return SolveOutcome.infeasible(), "precheck"
-    if g.n == 0:
-        return brute_chi(g, d, budget=budget), "brute"
-    if is_d_regular(g, d):
-        return SolveOutcome.finite(1, monochromatic(g.n)), "closedform:regular"
-    if _is_complete_graph(g):
-        return chi_complete(g.n, d), "closedform:complete"
-    classes = recognize(g)
-    if classes.is_tree:
-        return chi_tree(g, d), "closedform:tree"
-    if _is_cycle_graph(g) and d in (1, 2):
-        return chi_cycle(g.n, d), "closedform:cycle"
-    if d == 1 and _wheel_order(g) is not None:
-        return chi_wheel(g.n, 1), "closedform:wheel"
-    if classes.is_cactus:
-        if d == 2:
-            return cactus_chi2(g), "cactus"
-        if d == 1:
-            return cactus_chi1(g), "cactus"
-        return SolveOutcome.infeasible(), "cactus"  # cactus has a vertex of degree <= 2
-    if classes.is_block_graph:
-        return blockgraph_chi(g, d), "blockgraph"
-    return brute_chi(g, d, budget=budget), "brute"
-
-
-def _dispatch_forced(g: Graph, d: int, algorithm: str, budget: int):
-    if algorithm == "brute":
-        return brute_chi(g, d, budget=budget), "brute"
-    if algorithm == "cactus":
-        if d == 2:
-            return cactus_chi2(g), "cactus"
-        if d == 1:
-            return cactus_chi1(g), "cactus"
-        raise ExactColoringError("cactus algorithms cover d in {1, 2}")
-    if algorithm == "blockgraph":
-        return blockgraph_chi(g, d), "blockgraph"
-    if algorithm == "closedform":
-        if is_d_regular(g, d) and g.n > 0:
-            return SolveOutcome.finite(1, monochromatic(g.n)), "closedform:regular"
-        if _is_complete_graph(g):
-            return chi_complete(g.n, d), "closedform:complete"
-        if _is_cycle_graph(g) and d in (1, 2):
-            return chi_cycle(g.n, d), "closedform:cycle"
-        if d == 1 and _wheel_order(g) is not None:
-            return chi_wheel(g.n, 1), "closedform:wheel"
-        if recognize(g).is_tree:
-            return chi_tree(g, d), "closedform:tree"
-        raise ExactColoringError("no closed form applies to this graph")
-    raise ExactColoringError(f"unknown algorithm {algorithm!r}")
-
-
-def _report(args, g, outcome, algorithm, elapsed_ms, k=None, reason=None):
-    rep = {
-        "verdict": None,
-        "d": args.d,
-        "k": k,
-        "chi": None,
-        "chi_bounds": None,
-        "witness": None,
-        "algorithm": algorithm,
-        "elapsed_ms": round(elapsed_ms, 3),
-        "reason": reason,
-        "n": g.n,
-        "m": g.m,
-    }
-    if isinstance(outcome, ChiBounds):
-        rep["chi_bounds"] = [outcome.lo, outcome.hi]
-        if outcome.witness is not None:
-            rep["witness"] = {"k": outcome.witness.k, "assign": list(outcome.witness.assign)}
-        if k is not None and k >= outcome.hi:
-            rep["verdict"] = "yes"
-            return rep, EXIT_ANSWERED
-        if k is not None and k < outcome.lo:
-            rep["verdict"] = "no"
-            return rep, EXIT_ANSWERED
-        rep["verdict"] = "unknown"
-        rep["reason"] = reason or "matching enumeration budget exhausted"
-        return rep, EXIT_UNKNOWN
-    if outcome.is_infeasible:
-        rep["verdict"] = "no" if k is not None else "infinite"
-        rep["reason"] = reason or (
-            "infeasible (chi = infinity)" if k is not None else None
-        )
-        return rep, EXIT_ANSWERED
-    rep["chi"] = outcome.chi
-    if outcome.witness is not None:
-        rep["witness"] = {"k": outcome.witness.k, "assign": list(outcome.witness.assign)}
-    if k is not None:
-        rep["verdict"] = "yes" if outcome.chi <= k else "no"
-    else:
-        rep["verdict"] = "yes"
-    return rep, EXIT_ANSWERED
-
-
 def cmd_solve(args) -> int:
     g = load_graph(args.input, args.format)
-    start = time.perf_counter()
-    reason = None
-    try:
-        if args.k is not None and args.algorithm == "brute":
-            witness = brute_solve(g, args.k, args.d, budget=args.budget)
-            elapsed = (time.perf_counter() - start) * 1000
-            outcome = (
-                SolveOutcome.finite(args.k, witness)
-                if witness is not None
-                else SolveOutcome.infeasible()
-            )
-            if witness is None:
-                rep = {
-                    "verdict": "no",
-                    "d": args.d,
-                    "k": args.k,
-                    "chi": None,
-                    "chi_bounds": None,
-                    "witness": None,
-                    "algorithm": "brute",
-                    "elapsed_ms": round(elapsed, 3),
-                    "reason": None,
-                    "n": g.n,
-                    "m": g.m,
-                }
-                code = EXIT_ANSWERED
-            else:
-                rep, code = _report(args, g, outcome, "brute", elapsed, k=args.k)
-        else:
-            if args.algorithm == "auto":
-                if args.d > g.min_degree() and g.n > 0:
-                    reason = "d exceeds min degree"
-                outcome, algorithm = _dispatch_auto(g, args.d, args.budget)
-            else:
-                outcome, algorithm = _dispatch_forced(g, args.d, args.algorithm, args.budget)
-            elapsed = (time.perf_counter() - start) * 1000
-            rep, code = _report(args, g, outcome, algorithm, elapsed, k=args.k, reason=reason)
-    except BudgetExceededError as exc:
-        elapsed = (time.perf_counter() - start) * 1000
-        rep = {
-            "verdict": "unknown",
-            "d": args.d,
-            "k": args.k,
-            "chi": None,
-            "chi_bounds": None,
-            "witness": None,
-            "algorithm": args.algorithm,
-            "elapsed_ms": round(elapsed, 3),
-            "reason": str(exc),
-            "n": g.n,
-            "m": g.m,
-        }
-        code = EXIT_UNKNOWN
-    print(json.dumps(rep))
-    return code
+    report = solve(g, args.d, args.k, args.algorithm, args.budget)
+    print(json.dumps(report.to_dict()))
+    return EXIT_UNKNOWN if report.verdict == "unknown" else EXIT_ANSWERED
 
 
 def cmd_verify(args) -> int:
@@ -374,19 +193,9 @@ def build_parser() -> argparse.ArgumentParser:
     group = ps.add_mutually_exclusive_group(required=True)
     group.add_argument("--k", type=int, help="decision: is chi_d <= k?")
     group.add_argument("--chi", action="store_true", help="optimization: compute chi_d")
-    ps.add_argument(
-        "--algorithm",
-        choices=["auto", "brute", "cactus", "blockgraph", "closedform"],
-        default="auto",
-    )
+    ps.add_argument("--algorithm", choices=ALGORITHMS, default="auto", help="see solver.ROUTES")
     ps.add_argument("--format", choices=["edgelist", "dimacs"], default=None)
     ps.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="search node budget")
-    ps.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="reserved for the deterministic parallel oracle; results never depend on it",
-    )
     ps.set_defaults(func=cmd_solve)
 
     pv = sub.add_parser("verify", help="validate a coloring file against a graph")

@@ -13,7 +13,7 @@ import math
 from collections import deque
 
 from .chromatic import chromatic_number, max_clique
-from .coloring import Coloring, INFEASIBLE, SolveOutcome, monochromatic
+from .coloring import Coloring, INFEASIBLE, SolveOutcome, lift_coloring, monochromatic
 from .errors import BadParameterError, NotATreeError
 from .families import wheel
 from .graphs import Graph, contract_partition, is_connected, is_d_regular
@@ -67,11 +67,7 @@ def chi_wheel(n: int, d: int) -> SolveOutcome:
     parts = [[n - 1, 0]] + [[i, i + 1] for i in range(1, n - 2, 2)]
     quotient = contract_partition(g, parts)
     q_chi, q_col = chromatic_number(quotient)
-    assign = [0] * n
-    for idx, part in enumerate(parts):
-        for v in part:
-            assign[v] = q_col.assign[idx]
-    return SolveOutcome.finite(q_chi, Coloring(q_chi, tuple(assign)))
+    return SolveOutcome.finite(q_chi, lift_coloring(n, parts, q_col.assign, q_chi))
 
 
 def _tree_perfect_matching(g: Graph) -> list[tuple[int, int]] | None:
@@ -129,11 +125,7 @@ def chi_tree(g: Graph, d: int) -> SolveOutcome:
         return INFEASIBLE
     quotient = contract_partition(g, [list(p) for p in pairs])
     q_chi, q_col = chromatic_number(quotient)
-    assign = [0] * g.n
-    for idx, part in enumerate(pairs):
-        for v in part:
-            assign[v] = q_col.assign[idx]
-    return SolveOutcome.finite(q_chi, Coloring(q_chi, tuple(assign)))
+    return SolveOutcome.finite(q_chi, lift_coloring(g.n, pairs, q_col.assign, q_chi))
 
 
 def chi_complete(n: int, d: int) -> SolveOutcome:
@@ -159,8 +151,6 @@ def clique_lower_bound(g: Graph, d: int, budget: int | None = None) -> int:
 
 def chi_regular_trivial(g: Graph, d: int) -> SolveOutcome | None:
     """Finite(1) with the monochromatic witness when g is d-regular, else None."""
-    if g.n == 0:
-        return None
-    if is_d_regular(g, d):
+    if g.n > 0 and is_d_regular(g, d):
         return SolveOutcome.finite(1, monochromatic(g.n))
     return None

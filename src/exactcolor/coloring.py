@@ -87,6 +87,15 @@ class ChiBounds:
     witness: Coloring | None = None
 
 
+def lift_coloring(n: int, parts, colors, k: int) -> Coloring:
+    """Lift a quotient coloring: every vertex of parts[i] gets colors[i], out of k."""
+    assign = [0] * n
+    for part, c in zip(parts, colors):
+        for v in part:
+            assign[v] = c
+    return Coloring(k, tuple(assign))
+
+
 def defects(g: Graph, c: Coloring) -> list[int]:
     """Per-vertex count of same-colored neighbors."""
     if len(c.assign) != g.n:

@@ -13,6 +13,7 @@ import sys
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 from .errors import (
     DisconnectedClassError,
@@ -304,17 +305,6 @@ def cycle_order(block_verts, block_edges) -> list[int]:
 # Class recognizers
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GraphClasses:
-    is_tree: bool
-    is_forest: bool
-    is_cactus: bool
-    is_block_graph: bool
-    is_chordal: bool
-    regular_degree: int | None     # d if the graph is d-regular, else None
-    is_disjoint_cycles: bool
-
-
 def maximum_cardinality_search(g: Graph) -> list[int]:
     """MCS visit order (ties broken by lowest index), via a lazy max-heap."""
     n = g.n
@@ -364,26 +354,77 @@ def is_d_regular(g: Graph, d: int) -> bool:
     return all(len(a) == d for a in g.adj)
 
 
-def recognize(g: Graph) -> GraphClasses:
-    """Classify a graph: tree / cactus / block graph / chordal / regular.
+class GraphClasses:
+    """Structural facts about one graph, each computed on first use and then kept."""
 
-    A graph is a disjoint union of cycles exactly when it is 2-regular, so
-    no separate traversal is needed for that flag.
-    """
-    bct = block_cut_tree(g)
-    n_comp = len(connected_components(g))
-    forest = g.m == g.n - n_comp
-    degs = {len(a) for a in g.adj}
-    reg = degs.pop() if len(degs) == 1 else None
-    return GraphClasses(
-        is_tree=(n_comp == 1 and forest and g.n >= 1),
-        is_forest=forest,
-        is_cactus=bct.is_cactus(),
-        is_block_graph=bct.is_block_graph(),
-        is_chordal=is_chordal(g),
-        regular_degree=reg,
-        is_disjoint_cycles=(g.n > 0 and reg == 2),
-    )
+    def __init__(self, g: Graph):
+        self.g = g
+
+    @cached_property
+    def components(self) -> list[list[int]]:
+        return connected_components(self.g)
+
+    @cached_property
+    def bct(self) -> BlockCutTree:
+        return block_cut_tree(self.g)
+
+    @cached_property
+    def is_forest(self) -> bool:
+        return self.g.m == self.g.n - len(self.components)
+
+    @cached_property
+    def is_tree(self) -> bool:
+        return self.g.n >= 1 and len(self.components) == 1 and self.is_forest
+
+    @cached_property
+    def is_cactus(self) -> bool:
+        return self.bct.is_cactus()
+
+    @cached_property
+    def is_block_graph(self) -> bool:
+        return self.bct.is_block_graph()
+
+    @cached_property
+    def is_chordal(self) -> bool:
+        return is_chordal(self.g)
+
+    @cached_property
+    def regular_degree(self) -> int | None:
+        """d if the graph is d-regular (and nonempty), else None."""
+        degs = {len(a) for a in self.g.adj}
+        return degs.pop() if len(degs) == 1 else None
+
+    @cached_property
+    def is_disjoint_cycles(self) -> bool:
+        return self.regular_degree == 2
+
+    @cached_property
+    def is_complete(self) -> bool:
+        return self.g.n >= 1 and self.g.m == self.g.n * (self.g.n - 1) // 2
+
+    @cached_property
+    def cycle_order(self) -> list[int] | None:
+        """The vertices in cyclic order when the graph is one cycle, else None."""
+        if self.g.n < 3 or self.regular_degree != 2 or len(self.components) != 1:
+            return None
+        return cycle_order(range(self.g.n), self.g.edges())
+
+    @cached_property
+    def wheel_order(self) -> list[int] | None:
+        """The rim in cyclic order, then the hub, when the graph is a wheel, else None."""
+        g = self.g
+        hub = max(range(g.n), key=g.degree, default=None)
+        if g.n < 4 or g.degree(hub) != g.n - 1 or sum(len(a) == 3 for a in g.adj) < g.n - 1:
+            return None
+        # degree 3 leaves each rim vertex two rim neighbors; the rim must be one cycle
+        rim = [v for v in range(g.n) if v != hub]
+        order = cycle_order(rim, [e for e in g.edges() if hub not in e])
+        return order + [hub] if len(order) == len(rim) else None
+
+
+def recognize(g: Graph) -> GraphClasses:
+    """Classify g (tree / cactus / block graph / chordal / regular / family) lazily."""
+    return GraphClasses(g)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 
 from .chromatic import DEFAULT_BUDGET, _Budget, chromatic_number, max_clique
-from .coloring import Coloring, INFEASIBLE, SolveOutcome, feasibility_precheck
+from .coloring import Coloring, INFEASIBLE, SolveOutcome, feasibility_precheck, lift_coloring
 from .errors import BadParameterError, BudgetExceededError
 from .graphs import Graph, connected_components, contract_partition, induced_subgraph
 
@@ -282,17 +282,12 @@ def chi_via_quotients(
     if not partitions:
         return INFEASIBLE
     lower = max(1, math.ceil(len(max_clique(g, budget)) / (d + 1)))
-    best_chi: int | None = None
-    best_assign: tuple[int, ...] | None = None
+    best: Coloring | None = None
     for rp in partitions:
         quotient = contract_partition(g, rp.parts)
         q_chi, q_col = chromatic_number(quotient, budget)
-        if best_chi is None or q_chi < best_chi:
-            assign = [0] * g.n
-            for part_index, part in enumerate(rp.parts):
-                for v in part:
-                    assign[v] = q_col.assign[part_index]
-            best_chi, best_assign = q_chi, tuple(assign)
-            if best_chi <= lower:
+        if best is None or q_chi < best.k:
+            best = lift_coloring(g.n, rp.parts, q_col.assign, q_chi)
+            if best.k <= lower:
                 break
-    return SolveOutcome.finite(best_chi, Coloring(best_chi, best_assign))
+    return SolveOutcome.finite(best.k, best)

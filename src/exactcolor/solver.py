@@ -1,0 +1,167 @@
+"""One solve pipeline: a table of routes over the lazily built structure of a graph.
+
+``solve`` answers chi_d, or "is chi_d <= k?", with the report that
+``exactcolor solve`` prints (schema in docs/report-schema.json).  Each route
+pairs a solver with the structural test under which it answers exactly.
+``algorithm="auto"`` runs the first route whose test holds; any other value
+runs the first applicable route of the group of that name.
+"""
+
+from __future__ import annotations
+
+import time
+from dataclasses import dataclass, fields
+from typing import Callable, NamedTuple
+
+from .blockgraph import blockgraph_chi
+from .cactus import cactus_chi1, cactus_chi2
+from .chromatic import DEFAULT_BUDGET, chromatic_number
+from .closedform import chi_complete, chi_cycle, chi_regular_trivial, chi_tree, chi_wheel
+from .coloring import (
+    INFEASIBLE,
+    ChiBounds,
+    Coloring,
+    SolveOutcome,
+    feasibility_precheck,
+    lift_coloring,
+)
+from .errors import BudgetExceededError, ExactColoringError
+from .graphs import Graph, GraphClasses, recognize
+from .oracle import brute_chi, brute_solve
+
+@dataclass
+class Report:
+    """One solve answer, with the fields of docs/report-schema.json."""
+
+    verdict: str                 # "yes", "no", "infinite" or "unknown"
+    d: int
+    k: int | None
+    chi: int | None
+    chi_bounds: list[int] | None
+    witness: Coloring | None
+    algorithm: str               # the route that answered or gave up
+    elapsed_ms: float
+    reason: str | None
+    n: int
+    m: int
+
+    def to_dict(self) -> dict:
+        """The JSON object of the schema."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        if self.witness is not None:
+            out["witness"] = {"k": self.witness.k, "assign": list(self.witness.assign)}
+        return out
+
+
+class Route(NamedTuple):
+    name: str                    # reported as the report's algorithm
+    group: str | None            # the `algorithm` that selects it; None: auto only
+    applies: Callable[[GraphClasses, int], bool]
+    # run(s, d, k, budget) -> exact value, interval, or None: a forced decision search said no
+    run: Callable[[GraphClasses, int, int | None, int], SolveOutcome | ChiBounds | None]
+
+
+def _cactus(s: GraphClasses, d: int, k, budget: int) -> SolveOutcome | ChiBounds:
+    if d == 2:
+        return cactus_chi2(s.g, s.bct)
+    if d == 1:
+        return cactus_chi1(s.g, s.bct)
+    raise ExactColoringError("cactus algorithms cover d in {1, 2}")
+
+
+def _brute(s: GraphClasses, d: int, k, budget: int) -> SolveOutcome | None:
+    if k is None:
+        return brute_chi(s.g, d, budget=budget)
+    witness = brute_solve(s.g, k, d, budget=budget)
+    return None if witness is None else SolveOutcome.finite(k, witness)
+
+
+def _relabel(outcome: SolveOutcome, order: list[int]) -> SolveOutcome:
+    """Carry a closed form's witness over to g, where vertex order[i] plays vertex i."""
+    if outcome.is_infeasible:
+        return outcome
+    w = outcome.witness
+    lifted = lift_coloring(len(order), ([v] for v in order), w.assign, w.k)
+    return SolveOutcome.finite(outcome.chi, lifted)
+
+
+# The runs look solvers up by name when called, so wrapping a solver in its
+# module namespace (as a tracer does) also wraps it here.  Auto always
+# computes chi, even for a decision query; only a forced brute search decides
+# "chi_d <= k" directly.
+ROUTES = (
+    Route("chromatic", None, lambda s, d: d == 0,
+          lambda s, d, k, budget: SolveOutcome.finite(*chromatic_number(s.g, budget))),
+    Route("precheck", None, lambda s, d: not feasibility_precheck(s.g, d),
+          lambda *_: INFEASIBLE),
+    Route("brute", None, lambda s, d: s.g.n == 0, lambda s, d, k, b: _brute(s, d, None, b)),
+    Route("closedform:regular", "closedform", lambda s, d: s.regular_degree == d,
+          lambda s, d, *_: chi_regular_trivial(s.g, d)),
+    Route("closedform:complete", "closedform", lambda s, d: s.is_complete,
+          lambda s, d, *_: chi_complete(s.g.n, d)),
+    Route("closedform:tree", "closedform", lambda s, d: s.is_tree,
+          lambda s, d, *_: chi_tree(s.g, d)),
+    Route("closedform:cycle", "closedform", lambda s, d: s.cycle_order and d in (1, 2),
+          lambda s, d, *_: _relabel(chi_cycle(s.g.n, d), s.cycle_order)),
+    Route("closedform:wheel", "closedform", lambda s, d: d == 1 and s.wheel_order,
+          lambda s, d, *_: _relabel(chi_wheel(s.g.n, d), s.wheel_order)),
+    Route("cactus", "cactus", lambda s, d: s.is_cactus, _cactus),
+    Route("blockgraph", "blockgraph", lambda s, d: s.is_block_graph,
+          lambda s, d, *_: blockgraph_chi(s.g, d, s.bct)),
+    Route("brute", None, lambda s, d: True, lambda s, d, k, b: _brute(s, d, None, b)),
+    Route("brute", "brute", lambda s, d: True, _brute),
+)
+
+ALGORITHMS = ("auto", *dict.fromkeys(r.group for r in ROUTES if r.group))
+
+
+def _report(g: Graph, d: int, k: int | None, answer, algorithm: str, reason: str | None,
+            elapsed_ms: float) -> Report:
+    """Turn a route's answer, or the BudgetExceededError it raised, into a report."""
+    chi = bounds = witness = None
+    if isinstance(answer, BudgetExceededError):
+        verdict, reason = "unknown", str(answer)
+    elif answer is None:
+        verdict = "no"
+    elif isinstance(answer, ChiBounds):
+        bounds, witness = [answer.lo, answer.hi], answer.witness
+        if k is not None and k >= answer.hi:
+            verdict = "yes"
+        elif k is not None and k < answer.lo:
+            verdict = "no"
+        else:
+            verdict, reason = "unknown", reason or "matching enumeration budget exhausted"
+    elif answer.is_infeasible:
+        verdict = "infinite" if k is None else "no"
+        if k is not None:
+            reason = reason or "infeasible (chi = infinity)"
+    else:
+        chi, witness = answer.chi, answer.witness
+        verdict = "yes" if k is None or chi <= k else "no"
+    return Report(verdict, d, k, chi, bounds, witness, algorithm, elapsed_ms, reason, g.n, g.m)
+
+
+def solve(
+    g: Graph, d: int, k: int | None = None, algorithm: str = "auto", budget: int = DEFAULT_BUDGET
+) -> Report:
+    """Compute chi_d of g (k None) or decide chi_d <= k, through one route.
+
+    Raises ExactColoringError when `algorithm` is unknown or none of its
+    routes applies.  A search that exhausts `budget` gives an "unknown"
+    report naming the route that gave up.
+    """
+    if algorithm not in ALGORITHMS:
+        raise ExactColoringError(f"unknown algorithm {algorithm!r}")
+    start = time.perf_counter()
+    s = recognize(g)
+    routes = (r for r in ROUTES if algorithm in ("auto", r.group))
+    route = next((r for r in routes if r.applies(s, d)), None)
+    if route is None:
+        raise ExactColoringError(f"no {algorithm} route applies to this graph at d = {d}")
+    try:
+        answer = route.run(s, d, k, budget)
+    except BudgetExceededError as exc:
+        answer = exc
+    elapsed_ms = round((time.perf_counter() - start) * 1000, 3)
+    reason = "d exceeds min degree" if route.name == "precheck" and d > g.min_degree() else None
+    return _report(g, d, k, answer, route.name, reason, elapsed_ms)

@@ -82,6 +82,26 @@ class TestSolve:
             capsys, "--d", "1", "--chi", str(p), "--algorithm", "brute", "--budget", "5"
         )
         assert code == 2 and rep["verdict"] == "unknown"
+        assert rep["reason"] == "node budget exhausted (after 5 nodes)"
+        _, rep = solve_report(capsys, "--d", "1", "--chi", str(p), "--budget", "5")
+        assert rep["verdict"] == "unknown" and rep["algorithm"] == "brute"
+
+    @pytest.mark.parametrize(
+        "family,n,d,algorithm",
+        [
+            ("petersen", None, 1, "closedform"),
+            ("complete", 4, 2, "cactus"),
+            ("cycle", 6, 3, "cactus"),
+            ("complete", 4, 0, "blockgraph"),
+        ],
+    )
+    def test_forced_route_errors_exit_1(self, capsys, tmp_path, family, n, d, algorithm):
+        p = tmp_path / "g.txt"
+        main(["generate", family, "-o", str(p)] + ([] if n is None else ["--n", str(n)]))
+        code, out, err = run(
+            capsys, "solve", "--d", str(d), "--chi", str(p), "--algorithm", algorithm
+        )
+        assert code == 1 and out == "" and err.startswith("error:")
 
     @pytest.mark.parametrize("family,n,d", [("cycle", 9, 1), ("complete", 6, 2), ("star", 5, 1)])
     def test_auto_matches_brute(self, capsys, tmp_path, family, n, d):
@@ -196,8 +216,6 @@ class TestAutoDispatch:
         # the dispatcher must give the same verdict as plain brute force on
         # every graph class it special-cases
         import exactcolor as xc
-        from exactcolor.cli import _dispatch_auto
-        from exactcolor.chromatic import DEFAULT_BUDGET
 
         corpus = [
             xc.cycle(8), xc.cycle(9), xc.wheel(6), xc.wheel(7), xc.path(6),
@@ -209,15 +227,15 @@ class TestAutoDispatch:
         corpus += [xc.random_block_graph(10, seed=s) for s in range(4)]
         corpus += [xc.random_graph(8, p=0.4, seed=s) for s in range(4)]
         for g in corpus:
-            outcome, algorithm = _dispatch_auto(g, d, DEFAULT_BUDGET)
-            if isinstance(outcome, xc.ChiBounds):
+            rep = xc.solve(g, d)
+            if rep.chi_bounds is not None:
                 continue  # interval answers only narrow, never contradict
             ref = xc.brute_chi(g, d)
-            assert (outcome.chi, outcome.is_infeasible) == (ref.chi, ref.is_infeasible), (
-                f"dispatch to {algorithm} disagrees with brute on {g} at d={d}"
+            assert (rep.chi, rep.verdict == "infinite") == (ref.chi, ref.is_infeasible), (
+                f"dispatch to {rep.algorithm} disagrees with brute on {g} at d={d}"
             )
-            if outcome.is_finite and outcome.witness is not None:
-                assert is_exact_coloring(g, outcome.witness, d)
+            if rep.chi is not None and rep.witness is not None:
+                assert is_exact_coloring(g, rep.witness, d)
 
     def test_wheel_dispatch(self, capsys, tmp_path):
         p = tmp_path / "w6.txt"
