@@ -4,7 +4,9 @@ Chordal graphs take a mandatory fast path: greedy coloring along the
 maximum-cardinality-search order is optimal and simultaneously yields the
 clique number.  Everything else goes through iterative-deepening branch and
 bound between an exact clique lower bound and a greedy upper bound, with a
-node budget that raises instead of guessing.
+node budget that raises instead of guessing.  Each budget parameter takes a
+node count or a `_Budget` shared with the caller, so one solve can charge
+every search it runs to a single budget.
 
 Intended for quotient graphs of moderate size (tens of vertices) and for
 chordal graphs of any size.
@@ -14,14 +16,9 @@ from __future__ import annotations
 
 import heapq
 
-from .coloring import Coloring
+from .coloring import Coloring, solve_by_component
 from .errors import BudgetExceededError
-from .graphs import (
-    Graph,
-    connected_components,
-    induced_subgraph,
-    perfect_elimination_ordering,
-)
+from .graphs import Graph, connected_components, perfect_elimination_ordering
 
 DEFAULT_BUDGET = 10**8
 
@@ -32,6 +29,11 @@ class _Budget:
     def __init__(self, nodes: int):
         self.nodes = nodes
         self.left = nodes
+
+    @classmethod
+    def of(cls, budget: int | _Budget) -> _Budget:
+        """A shared budget as it is, or a fresh one of `budget` nodes."""
+        return budget if isinstance(budget, _Budget) else cls(budget)
 
     def spend(self, amount: int = 1):
         if amount > self.left:
@@ -83,7 +85,7 @@ def chordal_greedy(g: Graph) -> tuple[list[int], int] | None:
     return color, omega
 
 
-def max_clique(g: Graph, budget: int = DEFAULT_BUDGET) -> list[int]:
+def max_clique(g: Graph, budget: int | _Budget = DEFAULT_BUDGET) -> list[int]:
     """An exact maximum clique, deterministic for a given graph.
 
     Chordal graphs (which include block graphs) short-circuit through the
@@ -102,7 +104,7 @@ def max_clique(g: Graph, budget: int = DEFAULT_BUDGET) -> list[int]:
                 best = cand
         return sorted(best)
 
-    b = _Budget(budget)
+    b = _Budget.of(budget)
     order = sorted(range(g.n), key=lambda v: (-len(g.adj[v]), v))
     best: list[int] = []
 
@@ -124,7 +126,7 @@ def max_clique(g: Graph, budget: int = DEFAULT_BUDGET) -> list[int]:
     return sorted(best)
 
 
-def clique_number(g: Graph, budget: int = DEFAULT_BUDGET) -> int:
+def clique_number(g: Graph, budget: int | _Budget = DEFAULT_BUDGET) -> int:
     return len(max_clique(g, budget))
 
 
@@ -175,37 +177,28 @@ def _exact_k_coloring(g: Graph, k: int, b: _Budget) -> list[int] | None:
     return color if rec(0, 0) else None
 
 
-def _chromatic_connected(g: Graph, budget_obj: _Budget) -> tuple[int, list[int]]:
+def _chromatic_connected(g: Graph, b: _Budget) -> tuple[int, list[int]]:
     fast = chordal_greedy(g)
     if fast is not None:
         color, omega = fast
         return omega, color
-    lower = len(max_clique(g, budget_obj.left))
+    lower = len(max_clique(g, b))
     upper_coloring = greedy_coloring(g)
     upper = max(upper_coloring, default=-1) + 1
     for k in range(lower, upper):
-        attempt = _exact_k_coloring(g, k, budget_obj)
+        attempt = _exact_k_coloring(g, k, b)
         if attempt is not None:
             return k, attempt
     return upper, upper_coloring
 
 
-def chromatic_number(g: Graph, budget: int = DEFAULT_BUDGET) -> tuple[int, Coloring]:
+def chromatic_number(g: Graph, budget: int | _Budget = DEFAULT_BUDGET) -> tuple[int, Coloring]:
     """Exact chromatic number with a proper witness coloring.
 
     Disconnected graphs are solved componentwise; the result is the maximum
     over components.  Raises BudgetExceededError when the node budget runs
     out, so callers can report "unknown" instead of a wrong answer.
     """
-    if g.n == 0:
-        return 0, Coloring(0, ())
-    b = _Budget(budget)
-    assign = [0] * g.n
-    chi = 0
-    for comp in connected_components(g):
-        sub, verts = induced_subgraph(g, comp)
-        sub_chi, sub_color = _chromatic_connected(sub, b)
-        chi = max(chi, sub_chi)
-        for i, v in enumerate(verts):
-            assign[v] = sub_color[i]
-    return chi, Coloring(chi, tuple(assign))
+    b = _Budget.of(budget)
+    coloring = solve_by_component(g, connected_components(g), lambda h: _chromatic_connected(h, b))
+    return coloring.k, coloring

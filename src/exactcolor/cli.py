@@ -1,4 +1,4 @@
-"""Command-line front end: solve, verify, generate, reduce, bench.
+"""Command-line front end: solve, verify, generate, reduce.
 
 Machine-readable output: ``solve`` prints one JSON report (schema in
 docs/report-schema.json).  Exit codes: 0 = answered, 1 = usage or parse
@@ -11,11 +11,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 
 from . import families
-from .blockgraph import blockgraph_chi
-from .cactus import cactus_chi2
 from .chromatic import DEFAULT_BUDGET, chromatic_number
 from .coloring import defects
 from .errors import ExactColoringError
@@ -162,24 +159,6 @@ def cmd_reduce(args) -> int:
     return EXIT_ANSWERED
 
 
-def cmd_bench(args) -> int:
-    sizes = [args.base * (2 ** i) for i in range(args.doublings + 1)]
-    rows = []
-    for n in sizes:
-        if args.family == "blockgraph":
-            g = families.random_block_graph(n, seed=args.seed)
-            start = time.perf_counter()
-            blockgraph_chi(g, args.d)
-        else:
-            g = families.random_cactus(n, seed=args.seed, style="bridged")
-            start = time.perf_counter()
-            cactus_chi2(g)
-        elapsed = (time.perf_counter() - start) * 1000
-        rows.append({"n": n, "m": g.m, "elapsed_ms": round(elapsed, 3)})
-        print(json.dumps(rows[-1]))
-    return EXIT_ANSWERED
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="exactcolor",
@@ -233,14 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--map", default=None, help="write the JSON provenance map here")
     pr.add_argument("--check", action="store_true", help="brute-force round-trip check")
     pr.set_defaults(func=cmd_reduce)
-
-    pb = sub.add_parser("bench", help="time the polynomial solvers over doubling sizes")
-    pb.add_argument("--family", choices=["cactus", "blockgraph"], default="cactus")
-    pb.add_argument("--d", type=int, default=2)
-    pb.add_argument("--base", type=int, default=250)
-    pb.add_argument("--doublings", type=int, default=3)
-    pb.add_argument("--seed", type=int, default=0)
-    pb.set_defaults(func=cmd_bench)
 
     return parser
 

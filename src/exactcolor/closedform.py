@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from collections import deque
 
-from .chromatic import chromatic_number, max_clique
+from .chromatic import DEFAULT_BUDGET, _Budget, chromatic_number, max_clique
 from .coloring import Coloring, INFEASIBLE, SolveOutcome, lift_coloring, monochromatic
 from .errors import BadParameterError, NotATreeError
 from .families import wheel
@@ -140,13 +140,11 @@ def chi_complete(n: int, d: int) -> SolveOutcome:
     return SolveOutcome.finite(k, Coloring(k, tuple(v // (d + 1) for v in range(n))))
 
 
-def clique_lower_bound(g: Graph, d: int, budget: int | None = None) -> int:
+def clique_lower_bound(g: Graph, d: int, budget: int | _Budget = DEFAULT_BUDGET) -> int:
     """ceil(omega / (d+1)): no color may appear more than d+1 times in a clique."""
     if d < 0:
         raise BadParameterError("defect must be nonnegative")
-    kwargs = {} if budget is None else {"budget": budget}
-    omega = len(max_clique(g, **kwargs))
-    return math.ceil(omega / (d + 1))
+    return math.ceil(len(max_clique(g, budget)) / (d + 1))
 
 
 def chi_regular_trivial(g: Graph, d: int) -> SolveOutcome | None:

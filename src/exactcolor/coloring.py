@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import LengthMismatchError, OutOfRangeError
-from .graphs import Graph, connected_components
+from .graphs import Graph, connected_components, induced_subgraph
 
 
 @dataclass(frozen=True)
@@ -96,6 +96,28 @@ def lift_coloring(n: int, parts, colors, k: int) -> Coloring:
     return Coloring(k, tuple(assign))
 
 
+def solve_by_component(g: Graph, components, solve_one) -> Coloring | None:
+    """Join per-component colorings of g; None as soon as one component has none.
+
+    solve_one(h) returns (colors available, color list of h's vertices) or
+    None.  Color classes may merge across components, so the joined coloring
+    offers the largest count.  A connected g goes to solve_one as it is.
+    """
+    if len(components) == 1:
+        out = solve_one(g)
+        return None if out is None else Coloring(out[0], tuple(out[1]))
+    k, assign = 0, [0] * g.n
+    for comp in components:
+        sub, verts = induced_subgraph(g, comp)
+        out = solve_one(sub)
+        if out is None:
+            return None
+        k = max(k, out[0])
+        for v, c in zip(verts, out[1]):
+            assign[v] = c
+    return Coloring(k, tuple(assign))
+
+
 def defects(g: Graph, c: Coloring) -> list[int]:
     """Per-vertex count of same-colored neighbors."""
     if len(c.assign) != g.n:
@@ -122,17 +144,27 @@ def is_proper(g: Graph, c: Coloring) -> bool:
     return is_exact_coloring(g, c, 0)
 
 
-def feasibility_precheck(g: Graph, d: int) -> bool:
-    """Cheap necessary conditions for an exact (k, d)-coloring to exist.
+def infeasibility_reason(g: Graph, d: int, components=None) -> str | None:
+    """The cheap necessary condition for an exact (k, d)-coloring that g fails, or None.
 
-    False when d exceeds the minimum degree, or some connected component has
-    fewer than d + 1 vertices (a d-regular subgraph needs at least d + 1).
-    True is necessary, not sufficient.
+    Every color class induces a d-regular subgraph, so a coloring needs
+    d <= min degree (which also gives every component more than d vertices).
+    The part of a class inside one component is d-regular too; for odd d it
+    has even order (handshake lemma), hence so does each component.
+    `components` are g's connected components when the caller has them.
     """
-    if g.n == 0:
-        return True
+    if g.n == 0 or d <= 0:
+        return None
     if d > g.min_degree():
-        return False
-    if d >= 1 and any(len(comp) < d + 1 for comp in connected_components(g)):
-        return False
-    return True
+        return "d exceeds min degree"
+    if d % 2 == 0:
+        return None
+    components = connected_components(g) if components is None else components
+    if any(len(comp) % 2 for comp in components):
+        return "d is odd and a component has odd order"
+    return None
+
+
+def feasibility_precheck(g: Graph, d: int, components=None) -> bool:
+    """True unless infeasibility_reason finds g infeasible; necessary, not sufficient."""
+    return infeasibility_reason(g, d, components) is None

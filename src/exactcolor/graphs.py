@@ -385,18 +385,10 @@ class GraphClasses:
         return self.bct.is_block_graph()
 
     @cached_property
-    def is_chordal(self) -> bool:
-        return is_chordal(self.g)
-
-    @cached_property
     def regular_degree(self) -> int | None:
         """d if the graph is d-regular (and nonempty), else None."""
         degs = {len(a) for a in self.g.adj}
         return degs.pop() if len(degs) == 1 else None
-
-    @cached_property
-    def is_disjoint_cycles(self) -> bool:
-        return self.regular_degree == 2
 
     @cached_property
     def is_complete(self) -> bool:

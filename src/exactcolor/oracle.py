@@ -22,13 +22,20 @@ certificate in ``brute_chi``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .chromatic import DEFAULT_BUDGET, _Budget, chromatic_number, max_clique
-from .coloring import Coloring, INFEASIBLE, SolveOutcome, feasibility_precheck, lift_coloring
-from .errors import BadParameterError, BudgetExceededError
-from .graphs import Graph, connected_components, contract_partition, induced_subgraph
+from .chromatic import DEFAULT_BUDGET, _Budget, chromatic_number
+from .closedform import clique_lower_bound
+from .coloring import (
+    Coloring,
+    INFEASIBLE,
+    SolveOutcome,
+    feasibility_precheck,
+    lift_coloring,
+    solve_by_component,
+)
+from .errors import BadParameterError
+from .graphs import Graph, connected_components, contract_partition
 
 
 def _solve_component(g: Graph, k: int, d: int, b: _Budget) -> list[int] | None:
@@ -87,7 +94,7 @@ def _solve_component(g: Graph, k: int, d: int, b: _Budget) -> list[int] | None:
 
 
 def brute_solve(
-    g: Graph, k: int, d: int, budget: int = DEFAULT_BUDGET
+    g: Graph, k: int, d: int, budget: int | _Budget = DEFAULT_BUDGET
 ) -> Coloring | None:
     """Decide whether an exact (k, d)-coloring exists; witness on yes, None on no.
 
@@ -101,18 +108,16 @@ def brute_solve(
         raise BadParameterError("color count must be nonnegative")
     if g.n == 0:
         return Coloring(k, ())
-    if k == 0 or not feasibility_precheck(g, d):
+    comps = connected_components(g)
+    if k == 0 or not feasibility_precheck(g, d, comps):
         return None
-    b = _Budget(budget)
-    assign = [0] * g.n
-    for comp in connected_components(g):
-        sub, verts = induced_subgraph(g, comp)
-        sub_color = _solve_component(sub, k, d, b)
-        if sub_color is None:
-            return None
-        for i, v in enumerate(verts):
-            assign[v] = sub_color[i]
-    return Coloring(k, tuple(assign))
+    b = _Budget.of(budget)
+
+    def solve_one(h: Graph):
+        color = _solve_component(h, k, d, b)
+        return None if color is None else (k, color)
+
+    return solve_by_component(g, comps, solve_one)
 
 
 def _kcap(n: int, d: int) -> int:
@@ -120,52 +125,30 @@ def _kcap(n: int, d: int) -> int:
     return max(1, n // (d + 1))
 
 
-def brute_chi(
-    g: Graph,
-    d: int,
-    k_max: int | None = None,
-    budget: int = DEFAULT_BUDGET,
-) -> SolveOutcome:
+def brute_chi(g: Graph, d: int, budget: int | _Budget = DEFAULT_BUDGET) -> SolveOutcome:
     """Smallest k admitting an exact (k, d)-coloring, or the infeasible outcome.
 
     If no coloring exists with floor(n / (d+1)) classes then none exists at
     all (nonempty classes have at least d + 1 vertices and the question is
-    monotone in k), which certifies infeasibility.  A k_max below that
-    certificate threshold that yields no answer raises BudgetExceededError
-    rather than guessing.
+    monotone in k), which certifies infeasibility.
     """
     if d < 0:
         raise BadParameterError("defect must be nonnegative")
-    if g.n == 0:
-        return SolveOutcome.finite(0, Coloring(0, ()))
-    if not feasibility_precheck(g, d):
+    comps = connected_components(g)
+    if not feasibility_precheck(g, d, comps):
         return INFEASIBLE
-    b = _Budget(budget)
-    chi = 0
-    assign = [0] * g.n
-    for comp in connected_components(g):
-        sub, verts = induced_subgraph(g, comp)
-        cap = _kcap(sub.n, d)
-        if k_max is not None:
-            cap = min(cap, k_max)
-        lower = max(1, math.ceil(len(max_clique(sub, b.left)) / (d + 1)))
-        sub_color = None
-        found_k = None
-        for k in range(min(lower, cap), cap + 1):
-            sub_color = _solve_component(sub, k, d, b)
-            if sub_color is not None:
-                found_k = k
-                break
-        if found_k is None:
-            if k_max is not None and k_max < _kcap(sub.n, d):
-                raise BudgetExceededError(
-                    f"no coloring with k <= {k_max}; infeasibility not certified"
-                )
-            return INFEASIBLE
-        chi = max(chi, found_k)
-        for i, v in enumerate(verts):
-            assign[v] = sub_color[i]
-    return SolveOutcome.finite(chi, Coloring(chi, tuple(assign)))
+    b = _Budget.of(budget)
+
+    def smallest_k(h: Graph):
+        cap = _kcap(h.n, d)
+        for k in range(min(clique_lower_bound(h, d, b), cap), cap + 1):
+            color = _solve_component(h, k, d, b)
+            if color is not None:
+                return k, color
+        return None
+
+    witness = solve_by_component(g, comps, smallest_k)
+    return INFEASIBLE if witness is None else SolveOutcome.finite(witness.k, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +264,7 @@ def chi_via_quotients(
     partitions = enumerate_regular_partitions(g, d, budget=budget)
     if not partitions:
         return INFEASIBLE
-    lower = max(1, math.ceil(len(max_clique(g, budget)) / (d + 1)))
+    lower = clique_lower_bound(g, d, budget)
     best: Coloring | None = None
     for rp in partitions:
         quotient = contract_partition(g, rp.parts)

@@ -4,7 +4,8 @@
 ``exactcolor solve`` prints (schema in docs/report-schema.json).  Each route
 pairs a solver with the structural test under which it answers exactly.
 ``algorithm="auto"`` runs the first route whose test holds; any other value
-runs the first applicable route of the group of that name.
+runs the first applicable route of the group of that name.  One node budget
+is shared by every search the chosen route runs.
 """
 
 from __future__ import annotations
@@ -15,14 +16,14 @@ from typing import Callable, NamedTuple
 
 from .blockgraph import blockgraph_chi
 from .cactus import cactus_chi1, cactus_chi2
-from .chromatic import DEFAULT_BUDGET, chromatic_number
+from .chromatic import DEFAULT_BUDGET, _Budget, chromatic_number
 from .closedform import chi_complete, chi_cycle, chi_regular_trivial, chi_tree, chi_wheel
 from .coloring import (
     INFEASIBLE,
     ChiBounds,
     Coloring,
     SolveOutcome,
-    feasibility_precheck,
+    infeasibility_reason,
     lift_coloring,
 )
 from .errors import BudgetExceededError, ExactColoringError
@@ -56,12 +57,12 @@ class Report:
 class Route(NamedTuple):
     name: str                    # reported as the report's algorithm
     group: str | None            # the `algorithm` that selects it; None: auto only
-    applies: Callable[[GraphClasses, int], bool]
+    applies: Callable[[GraphClasses, int], object]  # truthy: the route runs
     # run(s, d, k, budget) -> exact value, interval, or None: a forced decision search said no
-    run: Callable[[GraphClasses, int, int | None, int], SolveOutcome | ChiBounds | None]
+    run: Callable[[GraphClasses, int, int | None, _Budget], SolveOutcome | ChiBounds | None]
 
 
-def _cactus(s: GraphClasses, d: int, k, budget: int) -> SolveOutcome | ChiBounds:
+def _cactus(s: GraphClasses, d: int, k, budget: _Budget) -> SolveOutcome | ChiBounds:
     if d == 2:
         return cactus_chi2(s.g, s.bct)
     if d == 1:
@@ -69,7 +70,7 @@ def _cactus(s: GraphClasses, d: int, k, budget: int) -> SolveOutcome | ChiBounds
     raise ExactColoringError("cactus algorithms cover d in {1, 2}")
 
 
-def _brute(s: GraphClasses, d: int, k, budget: int) -> SolveOutcome | None:
+def _brute(s: GraphClasses, d: int, k, budget: _Budget) -> SolveOutcome | None:
     if k is None:
         return brute_chi(s.g, d, budget=budget)
     witness = brute_solve(s.g, k, d, budget=budget)
@@ -88,11 +89,12 @@ def _relabel(outcome: SolveOutcome, order: list[int]) -> SolveOutcome:
 # The runs look solvers up by name when called, so wrapping a solver in its
 # module namespace (as a tracer does) also wraps it here.  Auto always
 # computes chi, even for a decision query; only a forced brute search decides
-# "chi_d <= k" directly.
+# "chi_d <= k" directly.  The precheck applies with the failed condition,
+# which becomes the report's reason.
 ROUTES = (
     Route("chromatic", None, lambda s, d: d == 0,
           lambda s, d, k, budget: SolveOutcome.finite(*chromatic_number(s.g, budget))),
-    Route("precheck", None, lambda s, d: not feasibility_precheck(s.g, d),
+    Route("precheck", None, lambda s, d: infeasibility_reason(s.g, d, s.components),
           lambda *_: INFEASIBLE),
     Route("brute", None, lambda s, d: s.g.n == 0, lambda s, d, k, b: _brute(s, d, None, b)),
     Route("closedform:regular", "closedform", lambda s, d: s.regular_degree == d,
@@ -154,14 +156,15 @@ def solve(
         raise ExactColoringError(f"unknown algorithm {algorithm!r}")
     start = time.perf_counter()
     s = recognize(g)
-    routes = (r for r in ROUTES if algorithm in ("auto", r.group))
-    route = next((r for r in routes if r.applies(s, d)), None)
-    if route is None:
+    for route in (r for r in ROUTES if algorithm in ("auto", r.group)):
+        if why := route.applies(s, d):
+            break
+    else:
         raise ExactColoringError(f"no {algorithm} route applies to this graph at d = {d}")
     try:
-        answer = route.run(s, d, k, budget)
+        answer = route.run(s, d, k, _Budget(budget))
     except BudgetExceededError as exc:
         answer = exc
     elapsed_ms = round((time.perf_counter() - start) * 1000, 3)
-    reason = "d exceeds min degree" if route.name == "precheck" and d > g.min_degree() else None
+    reason = why if route.name == "precheck" else None
     return _report(g, d, k, answer, route.name, reason, elapsed_ms)

@@ -199,17 +199,6 @@ class TestReduce:
         assert code == 1 and "at most" in err
 
 
-class TestBench:
-    def test_bench_runs(self, capsys):
-        code, out, _ = run(
-            capsys, "bench", "--family", "blockgraph", "--d", "2", "--base", "60",
-            "--doublings", "1",
-        )
-        assert code == 0
-        rows = [json.loads(line) for line in out.strip().split("\n")]
-        assert [r["n"] for r in rows] == [60, 120]
-
-
 class TestAutoDispatch:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_auto_never_disagrees_with_brute(self, d):

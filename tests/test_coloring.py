@@ -108,6 +108,17 @@ class TestFeasibilityPrecheck:
     def test_cycle9_d2(self):
         assert feasibility_precheck(cycle(9), 2)
 
+    def test_odd_defect_needs_even_components(self):
+        # handshake lemma: each class of a component has even order when d is odd
+        assert not feasibility_precheck(cycle(9), 1)
+        assert feasibility_precheck(cycle(8), 1)
+        two_triangles_and_k4 = build_graph(
+            10, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]
+            + [(6 + i, 6 + j) for i in range(4) for j in range(i + 1, 4)]
+        )
+        assert not feasibility_precheck(two_triangles_and_k4, 1)
+        assert feasibility_precheck(two_triangles_and_k4, 2)
+
     def test_single_vertex_d0(self):
         assert feasibility_precheck(build_graph(1, []), 0)
 

@@ -12,6 +12,7 @@ from exactcolor import (
     complete,
     contract_partition,
     cycle,
+    is_chordal,
     path,
     perfect_matchings,
     petersen,
@@ -109,12 +110,11 @@ class TestBlockCutTree:
 class TestRecognize:
     def test_cycle6(self):
         c = recognize(cycle(6))
-        assert c.is_cactus and not c.is_chordal and c.regular_degree == 2
-        assert c.is_disjoint_cycles
+        assert c.is_cactus and not is_chordal(cycle(6)) and c.regular_degree == 2
 
     def test_complete5(self):
         c = recognize(complete(5))
-        assert c.is_block_graph and c.is_chordal
+        assert c.is_block_graph and is_chordal(complete(5))
 
     def test_tightness_gadget(self):
         c = recognize(tightness_gadget())
@@ -125,9 +125,9 @@ class TestRecognize:
         assert c.is_tree and c.is_forest and c.is_cactus and c.is_block_graph
 
     def test_chordal_known_cases(self):
-        assert recognize(complete(4)).is_chordal
-        assert not recognize(cycle(4)).is_chordal
-        assert not recognize(petersen()).is_chordal
+        assert is_chordal(complete(4))
+        assert not is_chordal(cycle(4))
+        assert not is_chordal(petersen())
 
 
 class TestPerfectMatchings:

@@ -79,13 +79,6 @@ class TestBruteChi:
         )
         assert is_exact_coloring(tri_plus_k6, out.witness, 2)
 
-    def test_k_max_below_certificate_raises(self):
-        with pytest.raises(BudgetExceededError):
-            brute_chi(petersen(), 1, k_max=3)
-
-    def test_k_max_sufficient(self):
-        assert brute_chi(petersen(), 1, k_max=5).chi == 5
-
 
 class TestRegularPartitions:
     def test_cycle6_d1_two_matchings(self):

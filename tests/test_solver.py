@@ -77,3 +77,50 @@ def test_hub_over_several_rim_cycles_is_not_a_wheel(rims):
     assert xc.recognize(g).wheel_order is None
     rep, ref = xc.solve(g, 1), xc.brute_chi(g, 1)
     assert rep.chi == ref.chi and (rep.verdict == "infinite") == ref.is_infeasible
+
+
+def test_budget_bounds_every_search_of_a_solve():
+    # 16 clique nodes plus 707 coloring nodes: both charge the one budget
+    rep = xc.solve(xc.petersen(), 1, budget=720)
+    assert rep.verdict == "unknown" and rep.algorithm == "brute"
+    assert rep.reason == "node budget exhausted (after 720 nodes)"
+    assert xc.solve(xc.petersen(), 1, budget=723).chi == 5
+
+
+@pytest.mark.parametrize(
+    "g,d,algorithm",
+    [
+        (xc.random_cactus(60, seed=1, style="bridged"), 2, "cactus"),
+        (xc.random_block_graph(60, seed=1), 1, "blockgraph"),
+    ],
+)
+def test_polynomial_routes_find_the_components_once(monkeypatch, g, d, algorithm):
+    calls = count_calls(monkeypatch, "connected_components")
+    assert xc.solve(g, d).algorithm == algorithm
+    assert sum(args[0] is g for args in calls) == 1
+
+
+def test_brute_finds_the_components_at_most_twice(monkeypatch):
+    g = xc.petersen()
+    calls = count_calls(monkeypatch, "connected_components")
+    assert xc.solve(g, 1).chi == 5
+    assert sum(args[0] is g for args in calls) <= 2
+
+
+def test_connected_graph_is_not_copied_per_component(monkeypatch):
+    calls = count_calls(monkeypatch, "induced_subgraph")
+    assert xc.chromatic_number(xc.petersen())[0] == 3
+    assert calls == []
+
+
+@pytest.mark.parametrize("g,d,reason", [
+    (xc.path(3), 2, "d exceeds min degree"),
+    (xc.build_graph(5, [(0, 1), (1, 2), (2, 0), (3, 4)]), 2, "d exceeds min degree"),
+    (xc.wheel(7), 1, "d is odd and a component has odd order"),
+    (xc.random_graph(13, 0.5, 7), 1, "d is odd and a component has odd order"),
+])
+def test_precheck_reports_the_condition_that_failed(g, d, reason):
+    rep = xc.solve(g, d)
+    assert (rep.verdict, rep.algorithm, rep.reason) == ("infinite", "precheck", reason)
+    assert xc.solve(g, d, k=3).reason == reason
+    assert xc.brute_chi(g, d).is_infeasible
