@@ -30,7 +30,6 @@ from .closedform import (
     clique_lower_bound,
 )
 from .coloring import (
-    ChiBounds,
     Coloring,
     INFEASIBLE,
     SolveOutcome,

@@ -20,8 +20,9 @@ unique for every cactus that admits a coloring, independent of the scan
 order of the propagation loop.
 
 For defect 1 the value is min over perfect matchings M of chi(G/M), which
-lies in {1, 2, 3} for cacti; matchings are enumerated under a budget and an
-explicit interval [2, 3] is returned if the budget ends the search early.
+lies in {1, 2, 3} for cacti.  The same sweep, run leaves first, finds one
+perfect matching in linear time or shows there is none, and every perfect
+matching of a cactus gives the same answer, so no enumeration is needed.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .chromatic import greedy_coloring, smallest_last_order
-from .coloring import ChiBounds, Coloring, INFEASIBLE, SolveOutcome, lift_coloring, monochromatic
+from .coloring import Coloring, INFEASIBLE, SolveOutcome, lift_coloring, monochromatic
 from .errors import BadParameterError, IncompleteLabelingError, NotACactusError
 from .graphs import (
     BlockCutTree,
@@ -42,7 +43,6 @@ from .graphs import (
     cycle_order,
     is_bipartite,
     is_d_regular,
-    perfect_matchings,
 )
 
 M = "M"
@@ -212,16 +212,47 @@ def cactus_label(aux: CactusAux, k: int = 2, scan_order=None) -> LabelResult:
     return LabelResult(tuple(labels))
 
 
+def _rings(aux: CactusAux):
+    """(cycle index or None, ring) for every block, in breadth-first order.
+
+    Each component's sweep yields the ring (r,) for its smallest vertex r,
+    then each block as the sweep enters it at u: a cycle rotated to start
+    at u, a bridge as (u, w).  Every vertex but a root is a non-entry vertex
+    of exactly one ring; the blocks hanging off it come later.
+    """
+    seen = [False] * aux.g.n
+    cycle_done = [False] * len(aux.cycles)
+    for root in range(aux.g.n):
+        if seen[root]:
+            continue
+        yield None, (root,)
+        queue = deque([root])
+        while queue:
+            u = queue.popleft()
+            seen[u] = True
+            for i in aux.cliques[u]:
+                if cycle_done[i]:
+                    continue
+                cycle_done[i] = True
+                cyc = aux.cycles[i]
+                start = cyc.index(u)
+                ring = cyc[start:] + cyc[:start]
+                yield i, ring
+                queue.extend(ring[1:])
+            for w in aux.bridge_nbrs[u]:
+                if not seen[w]:  # seen: the bridge the sweep came in by
+                    yield None, (u, w)
+                    queue.append(w)
+
+
 def cactus_extract_coloring(
     g: Graph, aux: CactusAux, labeling: LabelResult | tuple[str, ...], k: int = 2
 ) -> Coloring:
     """Turn a complete M/P labeling into an exact (k, 2)-coloring.
 
-    Each component is swept from its smallest vertex (colored 0).  The first
-    touched vertex of a cycle fixes the whole cycle: M-cycles copy its
-    color, P-cycles receive an alternating (k = 2) or smallest-legal proper
-    coloring.  Bridge neighbors take the smallest color different from the
-    already-colored endpoint, which for k = 2 is the complement.
+    The rings of the sweep are painted in order, roots with color 0.  The
+    entry vertex fixes the ring: M-cycles copy its color, P-cycles and
+    bridges get an alternating (k = 2) or smallest-legal proper coloring.
     """
     labels = labeling.labels if isinstance(labeling, LabelResult) else tuple(labeling)
     if labels is None or any(lab is None for lab in labels):
@@ -229,9 +260,7 @@ def cactus_extract_coloring(
     if k < 2:
         raise BadParameterError("extraction needs k >= 2")
 
-    n = g.n
-    color = [-1] * n
-    cycle_done = [False] * len(aux.cycles)
+    color = [-1] * g.n
 
     def smallest_except(*banned: int) -> int:
         c = 0
@@ -241,39 +270,52 @@ def cactus_extract_coloring(
             raise IncompleteLabelingError("labeling admits no coloring with this k")
         return c
 
-    for root in range(n):
-        if color[root] != -1:
-            continue
-        color[root] = 0
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for i in aux.cliques[u]:
-                if cycle_done[i]:
-                    continue
-                cycle_done[i] = True
-                cyc = aux.cycles[i]
-                start = cyc.index(u)
-                ring = cyc[start:] + cyc[:start]
-                if labels[i] == M:
-                    for w in ring[1:]:
-                        color[w] = color[u]
-                        queue.append(w)
-                else:
-                    prev = color[u]
-                    for pos, w in enumerate(ring[1:], start=1):
-                        if pos == len(ring) - 1:
-                            color[w] = smallest_except(prev, color[u])
-                        else:
-                            color[w] = smallest_except(prev)
-                        prev = color[w]
-                        queue.append(w)
-            for w in aux.bridge_nbrs[u]:
-                if color[w] == -1:
-                    color[w] = smallest_except(color[u])
-                    queue.append(w)
+    for i, ring in _rings(aux):
+        u = ring[0]
+        if len(ring) == 1:
+            color[u] = 0
+        elif i is not None and labels[i] == M:
+            for w in ring[1:]:
+                color[w] = color[u]
+        else:
+            prev = color[u]
+            for w in ring[1:]:  # the last vertex also differs from the entry
+                prev = color[w] = smallest_except(prev, color[u] if w == ring[-1] else prev)
 
     return Coloring(k, tuple(color))
+
+
+def cactus_perfect_matching(aux: CactusAux) -> list[tuple[int, int]] | None:
+    """The pairs of a perfect matching of the cactus, or None if it has none.
+
+    The rings of the sweep are taken in reverse, leaves first.  A ring's
+    free (still unmatched) non-entry vertices must be matched inside it, so
+    it takes its entry vertex exactly when they are odd in number.  Its
+    free vertices are then paired along the cycle, arc by arc between the
+    others; an odd arc leaves no perfect matching.  Linear time.
+    """
+    matched = [False] * aux.g.n
+    pairs = []
+    for _, ring in reversed(list(_rings(aux))):
+        free = [not matched[w] for w in ring]
+        free[0] = sum(free[1:]) % 2 == 1   # the ring takes its entry vertex
+        if free[0] and matched[ring[0]]:
+            return None
+        # start after a vertex that is not free (all free: at the entry vertex)
+        start = free.index(False) + 1 if not all(free) else 0
+        pending = None
+        for j in range(start, start + len(ring)):
+            j %= len(ring)
+            if not free[j]:
+                if pending is not None:
+                    return None
+            elif pending is None:
+                pending = ring[j]
+            else:
+                pairs.append((pending, ring[j]))
+                matched[pending] = matched[ring[j]] = True
+                pending = None
+    return pairs if all(matched) else None
 
 
 def cactus_chi2(g: Graph, bct: BlockCutTree | None = None) -> SolveOutcome:
@@ -283,7 +325,6 @@ def cactus_chi2(g: Graph, bct: BlockCutTree | None = None) -> SolveOutcome:
     when only the relaxed labeling accepts (three colors always suffice for
     an outerplanar graph when any solution exists); infinite otherwise.
     """
-    bct = _guard_cactus(g, bct)
     if g.n == 0:
         return SolveOutcome.finite(0, Coloring(0, ()))
     if is_d_regular(g, 2):
@@ -298,39 +339,25 @@ def cactus_chi2(g: Graph, bct: BlockCutTree | None = None) -> SolveOutcome:
     return INFEASIBLE
 
 
-def cactus_chi1(
-    g: Graph,
-    bct: BlockCutTree | None = None,
-    matching_limit: int = 10**5,
-) -> SolveOutcome | ChiBounds:
-    """Exact 1-defective chromatic number of a cactus via perfect matchings.
+def cactus_chi1(g: Graph, bct: BlockCutTree | None = None) -> SolveOutcome:
+    """Exact 1-defective chromatic number of a cactus, from one perfect matching.
 
-    Infeasible without a perfect matching.  Otherwise min over matchings M
-    of chi(G/M), which is 1, 2 or 3 for a cactus; the enumeration stops
-    early once a bipartite quotient shows up.  If `matching_limit` matchings
-    are exhausted without settling between 2 and 3, the result is the
-    explicit interval ChiBounds(2, 3) with a 3-color witness, never a guess.
+    1 when g is 1-regular; infinite without a perfect matching M; else 2 if
+    G/M is bipartite and 3 if not (G/M is a cactus, so smallest-last first
+    fit colors it with three).  Any M gives the same answer: a vertex of a
+    cycle C is matched inside C exactly when the pieces hanging off it have
+    even order, so the image of C in G/M has the same length for every M.
     """
-    _guard_cactus(g, bct)
     if g.n == 0:
         return SolveOutcome.finite(0, Coloring(0, ()))
     if is_d_regular(g, 1):
         return SolveOutcome.finite(1, monochromatic(g.n))
-    matchings = perfect_matchings(g, limit=matching_limit)
-    if not matchings:
+    pairs = cactus_perfect_matching(cactus_preprocess(g, bct))
+    if pairs is None:
         return INFEASIBLE
-    exhaustive = len(matchings) < matching_limit
-    fallback: Coloring | None = None
-    for m in matchings:
-        parts = [list(e) for e in m.edges]
-        quotient = contract_partition(g, parts)
-        bip, side = is_bipartite(quotient)
-        if bip:
-            return SolveOutcome.finite(2, lift_coloring(g.n, parts, side, 2))
-        if fallback is None:
-            # smallest-last first fit: <= 3 colors on outerplanar graphs
-            q_col = greedy_coloring(quotient, list(reversed(smallest_last_order(quotient))))
-            fallback = lift_coloring(g.n, parts, q_col, 3)
-    if exhaustive:
-        return SolveOutcome.finite(3, fallback)
-    return ChiBounds(2, 3, fallback)
+    quotient = contract_partition(g, pairs)
+    bip, side = is_bipartite(quotient)
+    if bip:
+        return SolveOutcome.finite(2, lift_coloring(g.n, pairs, side, 2))
+    q_col = greedy_coloring(quotient, list(reversed(smallest_last_order(quotient))))
+    return SolveOutcome.finite(3, lift_coloring(g.n, pairs, q_col, 3))

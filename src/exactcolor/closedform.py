@@ -16,7 +16,7 @@ from .chromatic import DEFAULT_BUDGET, _Budget, chromatic_number, max_clique
 from .coloring import Coloring, INFEASIBLE, SolveOutcome, lift_coloring, monochromatic
 from .errors import BadParameterError, NotATreeError
 from .families import wheel
-from .graphs import Graph, contract_partition, is_connected, is_d_regular
+from .graphs import Graph, contract_partition, is_d_regular
 
 
 def chi_cycle(n: int, d: int) -> SolveOutcome:
@@ -70,12 +70,8 @@ def chi_wheel(n: int, d: int) -> SolveOutcome:
     return SolveOutcome.finite(q_chi, lift_coloring(n, parts, q_col.assign, q_chi))
 
 
-def _tree_perfect_matching(g: Graph) -> list[tuple[int, int]] | None:
-    """The unique perfect matching of a tree, by pairing leaves inward."""
-    if g.n % 2 == 1:
-        return None
-    if g.n == 0:
-        return []
+def _bfs_from_zero(g: Graph) -> tuple[list[int], list[int]]:
+    """The vertices reached from vertex 0 in breadth-first order, and their parents."""
     parent = [-1] * g.n
     order = []
     seen = [False] * g.n
@@ -89,17 +85,7 @@ def _tree_perfect_matching(g: Graph) -> list[tuple[int, int]] | None:
                 seen[w] = True
                 parent[w] = u
                 queue.append(w)
-    matched = [False] * g.n
-    pairs = []
-    for v in reversed(order):  # deepest first
-        if matched[v]:
-            continue
-        p = parent[v]
-        if p == -1 or matched[p]:
-            return None
-        matched[v] = matched[p] = True
-        pairs.append((min(p, v), max(p, v)))
-    return sorted(pairs)
+    return order, parent
 
 
 def chi_tree(g: Graph, d: int) -> SolveOutcome:
@@ -109,7 +95,8 @@ def chi_tree(g: Graph, d: int) -> SolveOutcome:
     one exists (1 for K2, else 2), and infinite otherwise.  Any d >= 2 is
     infeasible because a non-trivial tree has a leaf.
     """
-    if not (g.n >= 1 and g.m == g.n - 1 and is_connected(g)):
+    order, parent = _bfs_from_zero(g) if g.n else ([], [])
+    if not (g.n >= 1 and g.m == g.n - 1 and len(order) == g.n):
         raise NotATreeError("input is not a tree")
     if d < 0:
         raise BadParameterError("defect must be nonnegative")
@@ -120,10 +107,17 @@ def chi_tree(g: Graph, d: int) -> SolveOutcome:
         return SolveOutcome.finite(chi, col)
     if d >= 2:
         return INFEASIBLE
-    pairs = _tree_perfect_matching(g)
-    if pairs is None:
-        return INFEASIBLE
-    quotient = contract_partition(g, [list(p) for p in pairs])
+    # the unique perfect matching, pairing leaves inward (deepest first)
+    matched, pairs = [False] * g.n, []
+    for v in reversed(order):
+        if not matched[v]:
+            p = parent[v]
+            if p == -1 or matched[p]:
+                return INFEASIBLE
+            matched[v] = matched[p] = True
+            pairs.append((min(p, v), max(p, v)))
+    pairs.sort()
+    quotient = contract_partition(g, pairs)
     q_chi, q_col = chromatic_number(quotient)
     return SolveOutcome.finite(q_chi, lift_coloring(g.n, pairs, q_col.assign, q_chi))
 

@@ -74,19 +74,6 @@ class SolveOutcome:
 INFEASIBLE = SolveOutcome.infeasible()
 
 
-@dataclass(frozen=True)
-class ChiBounds:
-    """An interval answer [lo, hi] used when a search budget ran out.
-
-    Carried witness attains hi.  This is returned instead of a wrong or
-    overclaimed exact value.
-    """
-
-    lo: int
-    hi: int
-    witness: Coloring | None = None
-
-
 def lift_coloring(n: int, parts, colors, k: int) -> Coloring:
     """Lift a quotient coloring: every vertex of parts[i] gets colors[i], out of k."""
     assign = [0] * n

@@ -20,7 +20,6 @@ from .chromatic import DEFAULT_BUDGET, _Budget, chromatic_number
 from .closedform import chi_complete, chi_cycle, chi_regular_trivial, chi_tree, chi_wheel
 from .coloring import (
     INFEASIBLE,
-    ChiBounds,
     Coloring,
     SolveOutcome,
     infeasibility_reason,
@@ -38,7 +37,6 @@ class Report:
     d: int
     k: int | None
     chi: int | None
-    chi_bounds: list[int] | None
     witness: Coloring | None
     algorithm: str               # the route that answered or gave up
     elapsed_ms: float
@@ -58,11 +56,11 @@ class Route(NamedTuple):
     name: str                    # reported as the report's algorithm
     group: str | None            # the `algorithm` that selects it; None: auto only
     applies: Callable[[GraphClasses, int], object]  # truthy: the route runs
-    # run(s, d, k, budget) -> exact value, interval, or None: a forced decision search said no
-    run: Callable[[GraphClasses, int, int | None, _Budget], SolveOutcome | ChiBounds | None]
+    # run(s, d, k, budget) -> exact value, or None: a forced decision search said no
+    run: Callable[[GraphClasses, int, int | None, _Budget], SolveOutcome | None]
 
 
-def _cactus(s: GraphClasses, d: int, k, budget: _Budget) -> SolveOutcome | ChiBounds:
+def _cactus(s: GraphClasses, d: int, k, budget: _Budget) -> SolveOutcome:
     if d == 2:
         return cactus_chi2(s.g, s.bct)
     if d == 1:
@@ -120,19 +118,11 @@ ALGORITHMS = ("auto", *dict.fromkeys(r.group for r in ROUTES if r.group))
 def _report(g: Graph, d: int, k: int | None, answer, algorithm: str, reason: str | None,
             elapsed_ms: float) -> Report:
     """Turn a route's answer, or the BudgetExceededError it raised, into a report."""
-    chi = bounds = witness = None
+    chi = witness = None
     if isinstance(answer, BudgetExceededError):
         verdict, reason = "unknown", str(answer)
     elif answer is None:
         verdict = "no"
-    elif isinstance(answer, ChiBounds):
-        bounds, witness = [answer.lo, answer.hi], answer.witness
-        if k is not None and k >= answer.hi:
-            verdict = "yes"
-        elif k is not None and k < answer.lo:
-            verdict = "no"
-        else:
-            verdict, reason = "unknown", reason or "matching enumeration budget exhausted"
     elif answer.is_infeasible:
         verdict = "infinite" if k is None else "no"
         if k is not None:
@@ -140,7 +130,7 @@ def _report(g: Graph, d: int, k: int | None, answer, algorithm: str, reason: str
     else:
         chi, witness = answer.chi, answer.witness
         verdict = "yes" if k is None or chi <= k else "no"
-    return Report(verdict, d, k, chi, bounds, witness, algorithm, elapsed_ms, reason, g.n, g.m)
+    return Report(verdict, d, k, chi, witness, algorithm, elapsed_ms, reason, g.n, g.m)
 
 
 def solve(

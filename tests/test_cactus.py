@@ -3,7 +3,6 @@ import random
 import pytest
 
 from exactcolor import (
-    ChiBounds,
     NotACactusError,
     brute_chi,
     build_graph,
@@ -14,6 +13,7 @@ from exactcolor import (
     cactus_preprocess,
     complete,
     cycle,
+    is_bipartite,
     is_exact_coloring,
     random_cactus,
     tightness_gadget,
@@ -238,29 +238,31 @@ class TestCactusChi1:
         g = build_graph(4, [(0, 1), (2, 3)])
         assert cactus_chi1(g).chi == 1
 
-    def test_budget_interval(self):
-        # C3-of-triangles with pendants has many matchings; a tiny budget
-        # that cannot exhaust them must yield the explicit interval
-        g = random_cactus(14, seed=5, style="bridged")
-        full = cactus_chi1(g)
-        if isinstance(full, ChiBounds) or full.is_infeasible:
-            return
-        clipped = cactus_chi1(g, matching_limit=1)
-        if isinstance(clipped, ChiBounds):
-            assert (clipped.lo, clipped.hi) == (2, 3)
-            assert is_exact_coloring(g, clipped.witness, 1)
-        else:
-            # with one matching the only exact answers are 1 or 2
-            assert clipped.chi in (1, 2)
-
-    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("seed", range(80))
     def test_random_cacti_agree_with_brute(self, seed):
-        g = random_cactus(6 + seed % 7, seed=seed * 17, style="mixed")
-        a, b = cactus_chi1(g), brute_chi(g, 1)
-        assert not isinstance(a, ChiBounds)  # desk-scale enumerations complete
-        assert (a.chi, a.is_infeasible) == (b.chi, b.is_infeasible)
-        if a.is_finite:
-            assert is_exact_coloring(g, a.witness, 1)
+        # 320 cacti of even order 4 <= n <= 14 (odd orders have no perfect matching)
+        for style in ("mixed", "bridged", "shared", "petaled"):
+            g = random_cactus(4 + 2 * (seed % 6), seed=seed * 17, style=style)
+            a, b = cactus_chi1(g), brute_chi(g, 1)
+            assert (a.chi, a.is_infeasible) == (b.chi, b.is_infeasible), (style, g)
+            if a.is_finite:
+                assert is_exact_coloring(g, a.witness, 1)
+
+    @pytest.mark.parametrize("style", ["mixed", "bridged", "shared", "petaled"])
+    @pytest.mark.parametrize("subdivide", [False, True])
+    def test_corona_of_a_large_cactus(self, style, subdivide):
+        # a pendant on every vertex: the pendant edges are the perfect
+        # matching, G/M is the cactus itself, so chi_1 is 2 exactly when
+        # every cycle is even (subdividing every edge makes them even)
+        base = random_cactus(10_000, seed=1, style=style)
+        edges = base.edges()
+        if subdivide:
+            edges = [e for i, (u, v) in enumerate(edges) for e in ((u, base.n + i), (base.n + i, v))]
+        n = base.n + (len(edges) // 2 if subdivide else 0)
+        g = build_graph(2 * n, edges + [(v, n + v) for v in range(n)])
+        out = cactus_chi1(g)
+        assert out.chi == (2 if subdivide or is_bipartite(base)[0] else 3)
+        assert is_exact_coloring(g, out.witness, 1)
 
     def test_d_above_two_infeasible_by_degree(self):
         # cactus minimum degree is at most 2, so defect 3 can never be exact

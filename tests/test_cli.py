@@ -6,6 +6,7 @@ import pytest
 
 from exactcolor import (
     Coloring,
+    build_graph,
     is_exact_coloring,
     load_graph,
     read_graph,
@@ -68,6 +69,26 @@ class TestSolve:
         main(["generate", "cycle", "--n", "6", "--format", "dimacs", "-o", str(p)])
         code, rep = solve_report(capsys, "--d", "2", "--chi", str(p), "--format", "dimacs")
         assert code == 0 and rep["chi"] == 1
+
+    def test_chain_of_squares_and_c6_d1(self, capsys, tmp_path):
+        # 17 four-cycles joined by bridges have 2^17 perfect matchings; the
+        # disjoint C6 contracts to a triangle under every one of them
+        edges = []
+        for i in range(17):
+            a = 4 * i
+            edges += [(a, a + 1), (a + 1, a + 2), (a + 2, a + 3), (a + 3, a)]
+            if i:
+                edges.append((a - 2, a))
+        edges += [(68 + j, 68 + (j + 1) % 6) for j in range(6)]
+        g = build_graph(74, edges)
+        p = tmp_path / "squares.txt"
+        p.write_text(write_graph(g))
+        code, rep = solve_report(capsys, "--d", "1", "--chi", str(p))
+        assert code == 0 and (rep["verdict"], rep["chi"], rep["algorithm"]) == ("yes", 3, "cactus")
+        witness = Coloring(rep["witness"]["k"], tuple(rep["witness"]["assign"]))
+        assert witness.k == 3 and is_exact_coloring(g, witness, 1)
+        code, rep = solve_report(capsys, "--d", "1", "--k", "2", str(p))
+        assert code == 0 and rep["verdict"] == "no"
 
     def test_parse_error_exit_1(self, capsys, tmp_path):
         p = tmp_path / "bad.txt"
@@ -217,8 +238,6 @@ class TestAutoDispatch:
         corpus += [xc.random_graph(8, p=0.4, seed=s) for s in range(4)]
         for g in corpus:
             rep = xc.solve(g, d)
-            if rep.chi_bounds is not None:
-                continue  # interval answers only narrow, never contradict
             ref = xc.brute_chi(g, d)
             assert (rep.chi, rep.verdict == "infinite") == (ref.chi, ref.is_infeasible), (
                 f"dispatch to {rep.algorithm} disagrees with brute on {g} at d={d}"

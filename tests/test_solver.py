@@ -92,12 +92,24 @@ def test_budget_bounds_every_search_of_a_solve():
     [
         (xc.random_cactus(60, seed=1, style="bridged"), 2, "cactus"),
         (xc.random_block_graph(60, seed=1), 1, "blockgraph"),
+        (xc.path(10), 1, "closedform:tree"),
     ],
 )
 def test_polynomial_routes_find_the_components_once(monkeypatch, g, d, algorithm):
     calls = count_calls(monkeypatch, "connected_components")
     assert xc.solve(g, d).algorithm == algorithm
     assert sum(args[0] is g for args in calls) == 1
+
+
+@pytest.mark.parametrize("style", ["mixed", "bridged", "shared", "petaled"])
+def test_d1_cactus_solve_enumerates_no_matchings(monkeypatch, style):
+    calls = count_calls(monkeypatch, "perfect_matchings")
+    rep = xc.solve(xc.random_cactus(400, seed=3, style=style), 1)
+    assert (rep.verdict, rep.algorithm) == ("infinite", "cactus")
+    for seed in range(5):
+        g = xc.random_cactus(40 + 2 * seed, seed=seed, style=style)
+        assert xc.solve(g, 1).algorithm == "cactus"
+    assert calls == []
 
 
 def test_brute_finds_the_components_at_most_twice(monkeypatch):
