@@ -258,7 +258,7 @@ class TestCactusChi1:
         edges = base.edges()
         if subdivide:
             edges = [e for i, (u, v) in enumerate(edges) for e in ((u, base.n + i), (base.n + i, v))]
-        n = base.n + (len(edges) // 2 if subdivide else 0)
+        n = base.n + (base.m if subdivide else 0)  # one new vertex per subdivided edge
         g = build_graph(2 * n, edges + [(v, n + v) for v in range(n)])
         out = cactus_chi1(g)
         assert out.chi == (2 if subdivide or is_bipartite(base)[0] else 3)
