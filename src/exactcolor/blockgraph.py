@@ -7,27 +7,29 @@ K_{d+1}-factor (a partition of V into (d+1)-cliques), contracts it, and
 properly colors the quotient, which is again a block graph and therefore
 chordal.
 
-The factor search eliminates leaf blocks of the block-cut tree inward.  For
-a leaf block whose currently available non-cut vertices number t:
+The factor search runs the breadth-first block sweep of the block-cut tree
+(graphs.block_sweep, shared with the cactus matching) in reverse, leaves
+first.  Every vertex but a component root is a non-entry vertex of exactly
+one ring, and the blocks hanging off it are done before that ring.  For a
+ring whose free (still uncovered) non-entry vertices number t:
 
-* t divisible by d+1: group them inside the block, pass the cut vertex on;
-* t leaving remainder d: one group absorbs the cut vertex;
+* t divisible by d+1: group them inside the block, leave the entry vertex;
+* t leaving remainder d: one group takes the entry vertex, unless a
+  sibling block has taken it already;
 * anything else: no factor exists.
 
-Both moves are forced (classes cannot straddle blocks), so the greedy
-elimination is exact.  Whether chi of the quotient is independent of which
-factor is found is guarded empirically by the brute-force equivalence test
-suite rather than assumed.
+Both moves are forced (classes cannot straddle blocks), so the pass is
+exact; a root still free at the end leaves no factor.  Whether chi of the
+quotient is independent of which factor is found is guarded by tests that
+contract every factor of small block graphs.
 """
 
 from __future__ import annotations
 
-import heapq
-
 from .chromatic import chromatic_number
 from .coloring import Coloring, INFEASIBLE, SolveOutcome, lift_coloring
 from .errors import BadParameterError, NotABlockGraphError
-from .graphs import BlockCutTree, Graph, block_cut_tree, contract_partition
+from .graphs import BlockCutTree, Graph, block_cut_tree, block_sweep, contract_partition
 
 
 def _guard_block_graph(g: Graph, bct: BlockCutTree | None = None) -> BlockCutTree:
@@ -42,64 +44,32 @@ def clique_factor(
 ) -> list[tuple[int, ...]] | None:
     """Partition V into classes of exactly r vertices each inducing K_r, or None.
 
-    Classes are grouped from sorted vertex order inside each block and blocks
-    are processed by ascending smallest vertex, so the returned factor is the
-    lexicographically least one the elimination can produce.
+    One leaves-first pass over the block sweep; each block groups the free
+    vertices it must cover in sorted runs of r.  The classes come sorted.
     """
     if r < 2:
         raise BadParameterError("clique factor needs r >= 2")
     bct = _guard_block_graph(g, bct)
-    if g.n == 0:
-        return []
-
-    nblocks = len(bct.blocks)
-    block_of = bct.blocks_of_vertex(g.n)
-    if any(not b for b in block_of):
-        return None  # isolated vertex cannot join any K_r
-    blocks_left = [len(b) for b in block_of]      # per vertex
-    consumed = [False] * g.n
-    # a block is ready when at most one of its vertices still lies in other blocks
-    shared = [sum(1 for v in verts if blocks_left[v] >= 2) for verts in bct.blocks]
-    done = [False] * nblocks
-    ready = [(verts[0], i) for i, verts in enumerate(bct.blocks) if shared[i] <= 1]
-    heapq.heapify(ready)
-
+    taken = [False] * g.n
     classes: list[tuple[int, ...]] = []
-    processed = 0
-    while ready:
-        _, i = heapq.heappop(ready)
-        if done[i]:
+    for i, ring in reversed(list(block_sweep(g.n, bct.blocks, bct.blocks_of_vertex(g.n)))):
+        entry = ring[0]
+        if i is None:
+            if not taken[entry]:
+                return None  # a root no block took, e.g. an isolated vertex
             continue
-        done[i] = True
-        processed += 1
-        verts = bct.blocks[i]
-        cut = [v for v in verts if not consumed[v] and blocks_left[v] >= 2]
-        avail = sorted(v for v in verts if not consumed[v] and blocks_left[v] == 1)
-        rest = avail
-        if len(avail) % r == 0:
-            pass  # cut vertex, if any, is passed to its remaining blocks
-        elif len(avail) % r == r - 1 and cut:
-            c = cut[0]
-            consumed[c] = True
-            classes.append(tuple(sorted([c] + avail[:r - 1])))
-            rest = avail[r - 1:]
-        else:
+        free = [w for w in ring[1:] if not taken[w]]
+        if len(free) % r == r - 1:
+            if taken[entry]:
+                return None  # a sibling block took the entry vertex
+            free.append(entry)
+        elif len(free) % r:
             return None
-        for a in range(0, len(rest), r):
-            classes.append(tuple(rest[a:a + r]))
-        for v in avail:
-            consumed[v] = True
-        # detach the block; neighbors may become ready
-        for v in verts:
-            blocks_left[v] -= 1
-            if blocks_left[v] == 1:
-                for j in block_of[v]:
-                    if not done[j]:
-                        shared[j] -= 1
-                        if shared[j] <= 1:
-                            heapq.heappush(ready, (bct.blocks[j][0], j))
-    if processed != nblocks or not all(consumed):
-        return None
+        free.sort()
+        for a in range(0, len(free), r):
+            classes.append(tuple(free[a:a + r]))
+        for w in free:
+            taken[w] = True
     return sorted(classes)
 
 
@@ -125,9 +95,6 @@ def blockgraph_chi(
     """
     if d < 1:
         raise BadParameterError("blockgraph solver covers d >= 1")
-    bct = _guard_block_graph(g, bct)
-    if g.n == 0:
-        return SolveOutcome.finite(0, Coloring(0, ()))
     factor = clique_factor(g, d + 1, bct)
     if factor is None:
         return INFEASIBLE

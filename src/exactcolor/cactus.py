@@ -5,14 +5,15 @@ in a cactus all cycles are blocks.  So the solver marks each cycle block as
 monochromatic (M) or polychromatic (P) on an auxiliary structure and then
 paints the graph by one sweep per component:
 
-* preprocess: collect cycle blocks, per-vertex cycle cliques, and which
-  cycles own a cycle-simplicial vertex (a vertex lying in exactly one cycle;
-  such a cycle is forced monochromatic);
+* preprocess: collect cycle blocks, then bridges, per-vertex cycle cliques,
+  and which cycles own a cycle-simplicial vertex (a vertex lying in exactly
+  one cycle; such a cycle is forced monochromatic);
 * label: seed every simplicial-owning cycle with M, then propagate through
   the per-vertex cliques until all cycles are labeled or a local guard
   rejects;
-* extract: BFS each component from its smallest vertex, painting M-cycles
-  with one color, P-cycles properly, and bridges with a differing color.
+* extract: run the breadth-first block sweep (graphs.block_sweep) from each
+  component's smallest vertex, painting M-cycles with one color, P-cycles
+  properly, and bridges with a differing color.
 
 With two colors a P-cycle must alternate, so odd P-cycles reject; with
 three or more colors that guard is dropped.  The resulting labeling is
@@ -20,14 +21,14 @@ unique for every cactus that admits a coloring, independent of the scan
 order of the propagation loop.
 
 For defect 1 the value is min over perfect matchings M of chi(G/M), which
-lies in {1, 2, 3} for cacti.  The same sweep, run leaves first, finds one
-perfect matching in linear time or shows there is none, and every perfect
-matching of a cactus gives the same answer, so no enumeration is needed.
+lies in {1, 2, 3} for cacti.  The same block sweep, run leaves first (as
+the block-graph factor search also runs it), finds one perfect matching in
+linear time or shows there is none, and every perfect matching of a cactus
+gives the same answer, so no enumeration is needed.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
@@ -39,6 +40,7 @@ from .graphs import (
     BlockKind,
     Graph,
     block_cut_tree,
+    block_sweep,
     contract_partition,
     cycle_order,
     is_bipartite,
@@ -67,15 +69,18 @@ class CactusAux:
     by ascending smallest contained vertex.  cliques[j] lists the cycles
     containing vertex j (cycles sharing a vertex are pairwise "adjacent", so
     each such list plays the role of a clique in the auxiliary graph).
-    has_w[i] says cycle i contains a cycle-simplicial vertex.  Bridge (edge)
-    blocks are kept as adjacency for the extraction sweep.
+    has_w[i] says cycle i contains a cycle-simplicial vertex.  blocks lists
+    the cycles and then the bridges (u, v), so cycle i is block i and every
+    block index from len(cycles) on is a bridge; blocks_of[j] lists the
+    blocks containing vertex j, for the block sweep.
     """
 
     g: Graph
     cycles: tuple[tuple[int, ...], ...]
     cliques: tuple[tuple[int, ...], ...]
     has_w: tuple[bool, ...]
-    bridge_nbrs: tuple[tuple[int, ...], ...]
+    blocks: tuple[tuple[int, ...], ...]
+    blocks_of: tuple[tuple[int, ...], ...]
 
     def cycle_adjacency(self) -> set[tuple[int, int]]:
         """Pairs of cycle indices sharing a vertex (the v_i-v_j edges)."""
@@ -107,34 +112,30 @@ def _guard_cactus(g: Graph, bct: BlockCutTree | None = None) -> BlockCutTree:
 
 
 def cactus_preprocess(g: Graph, bct: BlockCutTree | None = None) -> CactusAux:
-    """Build the auxiliary cycle structure (cycles, cliques, simplicial flags)."""
+    """Build the auxiliary cycle structure (cycles, cliques, simplicial flags, blocks)."""
     bct = _guard_cactus(g, bct)
-    cycles = []
-    bridge_pairs = []
-    for verts, edges, kind in zip(bct.blocks, bct.block_edges, bct.kinds):
-        if kind == BlockKind.CYCLE:
-            cycles.append(tuple(cycle_order(verts, edges)))
-        else:
-            bridge_pairs.append(edges[0])
-    cycles.sort(key=min)
+    kinds = bct.kinds
+    cycles = tuple(
+        tuple(cycle_order(verts, edges))
+        for verts, edges, kind in zip(bct.blocks, bct.block_edges, kinds)
+        if kind == BlockKind.CYCLE
+    )
+    blocks = cycles + tuple(v for v, kind in zip(bct.blocks, kinds) if kind != BlockKind.CYCLE)
 
-    cliques: list[list[int]] = [[] for _ in range(g.n)]
-    for i, cyc in enumerate(cycles):
-        for v in cyc:
-            cliques[v].append(i)
-    has_w = [any(len(cliques[v]) == 1 for v in cyc) for cyc in cycles]
-
-    bridge_nbrs: list[list[int]] = [[] for _ in range(g.n)]
-    for u, v in bridge_pairs:
-        bridge_nbrs[u].append(v)
-        bridge_nbrs[v].append(u)
+    blocks_of: list[list[int]] = [[] for _ in range(g.n)]
+    for i, verts in enumerate(blocks):
+        for v in verts:
+            blocks_of[v].append(i)
+    r = len(cycles)
+    cliques = tuple(tuple(i for i in b if i < r) for b in blocks_of)  # the cycles among the blocks
 
     return CactusAux(
         g=g,
-        cycles=tuple(cycles),
-        cliques=tuple(tuple(c) for c in cliques),
-        has_w=tuple(has_w),
-        bridge_nbrs=tuple(tuple(sorted(b)) for b in bridge_nbrs),
+        cycles=cycles,
+        cliques=cliques,
+        has_w=tuple(any(len(cliques[v]) == 1 for v in cyc) for cyc in cycles),
+        blocks=blocks,
+        blocks_of=tuple(tuple(b) for b in blocks_of),
     )
 
 
@@ -212,46 +213,13 @@ def cactus_label(aux: CactusAux, k: int = 2, scan_order=None) -> LabelResult:
     return LabelResult(tuple(labels))
 
 
-def _rings(aux: CactusAux):
-    """(cycle index or None, ring) for every block, in breadth-first order.
-
-    Each component's sweep yields the ring (r,) for its smallest vertex r,
-    then each block as the sweep enters it at u: a cycle rotated to start
-    at u, a bridge as (u, w).  Every vertex but a root is a non-entry vertex
-    of exactly one ring; the blocks hanging off it come later.
-    """
-    seen = [False] * aux.g.n
-    cycle_done = [False] * len(aux.cycles)
-    for root in range(aux.g.n):
-        if seen[root]:
-            continue
-        yield None, (root,)
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            seen[u] = True
-            for i in aux.cliques[u]:
-                if cycle_done[i]:
-                    continue
-                cycle_done[i] = True
-                cyc = aux.cycles[i]
-                start = cyc.index(u)
-                ring = cyc[start:] + cyc[:start]
-                yield i, ring
-                queue.extend(ring[1:])
-            for w in aux.bridge_nbrs[u]:
-                if not seen[w]:  # seen: the bridge the sweep came in by
-                    yield None, (u, w)
-                    queue.append(w)
-
-
 def cactus_extract_coloring(
     g: Graph, aux: CactusAux, labeling: LabelResult | tuple[str, ...], k: int = 2
 ) -> Coloring:
     """Turn a complete M/P labeling into an exact (k, 2)-coloring.
 
-    The rings of the sweep are painted in order, roots with color 0.  The
-    entry vertex fixes the ring: M-cycles copy its color, P-cycles and
+    The rings of the block sweep are painted in order, roots with color 0.
+    The entry vertex fixes the ring: M-cycles copy its color, P-cycles and
     bridges get an alternating (k = 2) or smallest-legal proper coloring.
     """
     labels = labeling.labels if isinstance(labeling, LabelResult) else tuple(labeling)
@@ -270,11 +238,11 @@ def cactus_extract_coloring(
             raise IncompleteLabelingError("labeling admits no coloring with this k")
         return c
 
-    for i, ring in _rings(aux):
+    for i, ring in block_sweep(g.n, aux.blocks, aux.blocks_of):
         u = ring[0]
-        if len(ring) == 1:
+        if i is None:
             color[u] = 0
-        elif i is not None and labels[i] == M:
+        elif i < len(aux.cycles) and labels[i] == M:  # later indices are bridges
             for w in ring[1:]:
                 color[w] = color[u]
         else:
@@ -288,7 +256,7 @@ def cactus_extract_coloring(
 def cactus_perfect_matching(aux: CactusAux) -> list[tuple[int, int]] | None:
     """The pairs of a perfect matching of the cactus, or None if it has none.
 
-    The rings of the sweep are taken in reverse, leaves first.  A ring's
+    The rings of the block sweep are taken in reverse, leaves first.  A ring's
     free (still unmatched) non-entry vertices must be matched inside it, so
     it takes its entry vertex exactly when they are odd in number.  Its
     free vertices are then paired along the cycle, arc by arc between the
@@ -296,7 +264,7 @@ def cactus_perfect_matching(aux: CactusAux) -> list[tuple[int, int]] | None:
     """
     matched = [False] * aux.g.n
     pairs = []
-    for _, ring in reversed(list(_rings(aux))):
+    for _, ring in reversed(list(block_sweep(aux.g.n, aux.blocks, aux.blocks_of))):
         free = [not matched[w] for w in ring]
         free[0] = sum(free[1:]) % 2 == 1   # the ring takes its entry vertex
         if free[0] and matched[ring[0]]:

@@ -301,6 +301,37 @@ def cycle_order(block_verts, block_edges) -> list[int]:
     return order
 
 
+def block_sweep(n: int, blocks, blocks_of):
+    """(block index or None, ring) for every block, in breadth-first order.
+
+    blocks[i] lists block i's vertices (a cycle in cyclic order) and
+    blocks_of[v] the indices of the blocks containing v.  Each component's
+    sweep yields (None, (r,)) for its smallest vertex r, then each block as
+    the sweep enters it at u, rotated to start at u.  Every vertex but a
+    root is a non-entry vertex of exactly one ring and the blocks hanging
+    off it come later, so the rings in reverse order run leaves first.
+    """
+    seen = [False] * n
+    done = [False] * len(blocks)
+    for root in range(n):
+        if seen[root]:
+            continue
+        yield None, (root,)
+        queue = deque([root])
+        while queue:
+            u = queue.popleft()
+            seen[u] = True
+            for i in blocks_of[u]:
+                if done[i]:
+                    continue
+                done[i] = True
+                block = blocks[i]
+                start = block.index(u)
+                ring = block[start:] + block[:start]
+                yield i, ring
+                queue.extend(ring[1:])
+
+
 # ---------------------------------------------------------------------------
 # Class recognizers
 # ---------------------------------------------------------------------------
@@ -496,39 +527,33 @@ def contract_partition(g: Graph, parts) -> Graph:
     subgraph; only such contractions occur in this package (matched pairs,
     cycles, cliques), so anything else is treated as a caller bug.
     """
-    parts = [sorted(p) for p in parts]
-    seen: set[int] = set()
-    total = 0
-    for p in parts:
+    parts = list(parts)
+    cls = [-1] * g.n
+    for i, p in enumerate(parts):
         if not p:
             raise NotAPartitionError("empty class")
-        total += len(p)
-        seen.update(p)
-    if total != g.n or seen != set(range(g.n)):
+        for v in p:
+            if not 0 <= v < g.n or cls[v] != -1:
+                raise NotAPartitionError("classes do not partition the vertex set")
+            cls[v] = i
+    if -1 in cls:
         raise NotAPartitionError("classes do not partition the vertex set")
 
-    cls = [0] * g.n
+    reached = [False] * g.n
     for i, p in enumerate(parts):
-        for v in p:
-            cls[v] = i
-
-    for i, p in enumerate(parts):
-        # BFS inside the class
-        inside = set(p)
-        reached = {p[0]}
-        queue = deque([p[0]])
-        while queue:
-            u = queue.popleft()
-            for w in g.adj[u]:
-                if w in inside and w not in reached:
-                    reached.add(w)
-                    queue.append(w)
-        if reached != inside:
+        # search inside the class from one of its vertices
+        stack = [next(iter(p))]
+        reached[stack[0]] = True
+        count = 1
+        while stack:
+            for w in g.adj[stack.pop()]:
+                if cls[w] == i and not reached[w]:
+                    reached[w] = True
+                    count += 1
+                    stack.append(w)
+        if count != len(p):
             raise DisconnectedClassError(f"class {i} does not induce a connected subgraph")
 
-    qedges = set()
-    for u in range(g.n):
-        for w in g.adj[u]:
-            if u < w and cls[u] != cls[w]:
-                qedges.add((min(cls[u], cls[w]), max(cls[u], cls[w])))
-    return build_graph(len(parts), sorted(qedges))
+    # each edge is seen from both ends, so every cross edge shows up as (low, high) once
+    qedges = {(cls[u], cls[w]) for u in range(g.n) for w in g.adj[u] if cls[u] < cls[w]}
+    return build_graph(len(parts), qedges)

@@ -46,6 +46,8 @@ def _solve_component(g: Graph, k: int, d: int, b: _Budget) -> list[int] | None:
     once.  Pruning: a vertex may never exceed d same-colored neighbors; a
     vertex whose neighborhood is fully colored must sit at exactly d; a
     vertex whose uncolored neighbors cannot lift it to d is a dead end.
+    The search keeps its own stack (one level per vertex, so no recursion
+    limit) and spends one budget node per vertex it reaches.
     """
     n = g.n
     if n == 0:
@@ -57,13 +59,22 @@ def _solve_component(g: Graph, k: int, d: int, b: _Budget) -> list[int] | None:
     colored_nb = [0] * n
     deg = [len(a) for a in g.adj]
     lower_nb = [tuple(u for u in g.adj[v] if u < v) for v in range(n)]
+    used = [0] * (n + 1)      # used[v]: colors in use before vertex v
+    next_c = [0] * (n + 1)    # next color to try at vertex v
 
-    def rec(v: int, used: int) -> bool:
-        b.spend()
-        if v == n:
-            return True
-        cap = min(k - 1, used)
-        for c in range(cap + 1):
+    def uncolor(v: int) -> None:
+        c = color[v]
+        for u in lower_nb[v]:
+            if color[u] == c:
+                same[u] -= 1
+        for u in g.adj[v]:
+            colored_nb[u] -= 1
+        color[v] = -1
+
+    b.spend()
+    v = 0
+    while v < n:
+        for c in range(next_c[v], min(k - 1, used[v]) + 1):
             same_v = sum(1 for u in lower_nb[v] if color[u] == c)
             unc_v = deg[v] - colored_nb[v]
             if same_v > d or same_v + unc_v < d or (unc_v == 0 and same_v != d):
@@ -72,25 +83,30 @@ def _solve_component(g: Graph, k: int, d: int, b: _Budget) -> list[int] | None:
             same[v] = same_v
             for u in g.adj[v]:
                 colored_nb[u] += 1
-            matched = [u for u in lower_nb[v] if color[u] == c]
-            for u in matched:
-                same[u] += 1
+            for u in lower_nb[v]:
+                if color[u] == c:
+                    same[u] += 1
             ok = True
             for u in lower_nb[v]:
                 unc_u = deg[u] - colored_nb[u]
                 if same[u] > d or same[u] + unc_u < d or (unc_u == 0 and same[u] != d):
                     ok = False
                     break
-            if ok and rec(v + 1, max(used, c + 1)):
-                return True
-            for u in matched:
-                same[u] -= 1
-            for u in g.adj[v]:
-                colored_nb[u] -= 1
-            color[v] = -1
-        return False
-
-    return color if rec(0, 0) else None
+            if ok:
+                next_c[v] = c + 1
+                used[v + 1] = max(used[v], c + 1)
+                next_c[v + 1] = 0
+                v += 1
+                b.spend()
+                break
+            uncolor(v)
+        else:
+            # every color of v failed: back up to the previous vertex
+            if v == 0:
+                return None
+            v -= 1
+            uncolor(v)
+    return color
 
 
 def brute_solve(

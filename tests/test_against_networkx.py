@@ -1,11 +1,24 @@
 """Differential tests against networkx, an independent implementation (test-only dependency)."""
 
+import random
+from itertools import combinations
+
 import pytest
 
-from exactcolor import cactus_preprocess, random_cactus
+from exactcolor import (
+    block_cut_tree,
+    build_graph,
+    cactus_preprocess,
+    clique_factor,
+    is_chordal,
+    random_block_graph,
+    random_cactus,
+)
 from exactcolor.cactus import cactus_perfect_matching
 
 nx = pytest.importorskip("networkx")
+
+STYLES = ["mixed", "bridged", "shared", "petaled"]
 
 
 def to_networkx(g):
@@ -15,7 +28,25 @@ def to_networkx(g):
     return h
 
 
-@pytest.mark.parametrize("style", ["mixed", "bridged", "shared", "petaled"])
+def random_graph(n, p, seed):
+    rng = random.Random(seed)
+    return build_graph(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+
+
+def sample_graphs():
+    """Sparse and dense random graphs (often disconnected), cacti and block graphs."""
+    for seed in range(60):
+        n = 1 + seed % 30
+        yield random_graph(n, (0.5 + seed % 5) / n, seed)
+    for seed in range(30):
+        yield random_graph(1 + seed % 12, 0.3 + 0.1 * (seed % 6), 100 + seed)
+    for n in (1, 2, 5, 12, 40, 150):
+        for style in STYLES:
+            yield random_cactus(n, seed=n, style=style)
+        yield random_block_graph(n, seed=n)
+
+
+@pytest.mark.parametrize("style", STYLES)
 def test_cactus_perfect_matching_exists_iff_maximum_matching_is_perfect(style):
     found = set()
     for n in (2, 3, 4, 6, 8, 10, 13, 16, 20, 31, 40, 60, 100, 200, 400):
@@ -28,4 +59,37 @@ def test_cactus_perfect_matching_exists_iff_maximum_matching_is_perfect(style):
                 assert sorted(v for p in pairs for v in p) == list(range(g.n))
                 assert all(g.has_edge(u, v) for u, v in pairs)
             found.add(pairs is not None)
+    assert found == {True, False}
+
+
+def test_block_cut_tree_matches_biconnected_components():
+    for g in sample_graphs():
+        bct, h = block_cut_tree(g), to_networkx(g)
+        expect_blocks = sorted(tuple(sorted(c)) for c in nx.biconnected_components(h))
+        expect_edges = sorted(
+            tuple(sorted(tuple(sorted(e)) for e in es)) for es in nx.biconnected_component_edges(h)
+        )
+        assert list(bct.blocks) == expect_blocks, g.edges()
+        assert sorted(bct.block_edges) == expect_edges, g.edges()
+        assert bct.cut_vertices == set(nx.articulation_points(h)), g.edges()
+
+
+def test_is_chordal_matches_networkx():
+    seen = set()
+    for g in sample_graphs():
+        chordal = is_chordal(g)
+        assert chordal == nx.is_chordal(to_networkx(g)), g.edges()
+        seen.add(chordal)
+    assert seen == {True, False}
+
+
+def test_block_graph_matching_factor_exists_iff_maximum_matching_is_perfect():
+    found = set()
+    for n in (1, 2, 3, 4, 6, 8, 10, 13, 16, 20, 31, 40, 60, 100, 200, 400):
+        for seed in range(3):
+            g = random_block_graph(n, seed=seed)
+            factor = clique_factor(g, 2)
+            maximum = nx.max_weight_matching(to_networkx(g), maxcardinality=True)
+            assert (factor is not None) == (2 * len(maximum) == g.n), (n, seed)
+            found.add(factor is not None)
     assert found == {True, False}

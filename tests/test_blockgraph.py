@@ -1,3 +1,4 @@
+import random
 import time
 from itertools import combinations
 
@@ -11,6 +12,7 @@ from exactcolor import (
     brute_chi,
     brute_solve,
     build_graph,
+    chromatic_number,
     clique_factor,
     complete,
     contract_partition,
@@ -31,6 +33,18 @@ def triangle_chain(k: int):
         if t:
             edges.append((a - 1, a))
     return build_graph(3 * k, edges)
+
+
+def tree_of_cliques(n, seed, max_block=7):
+    """Random connected block graph whose blocks have up to max_block vertices."""
+    rng = random.Random(seed)
+    edges, cur = [], 1
+    while cur < n:
+        size = rng.randint(2, min(max_block, n - cur + 1))
+        block = [rng.randrange(cur)] + list(range(cur, cur + size - 1))
+        edges += combinations(block, 2)
+        cur += size - 1
+    return build_graph(n, edges)
 
 
 def all_clique_factors(g, r):
@@ -92,6 +106,22 @@ class TestCliqueFactor:
     def test_guard(self):
         with pytest.raises(NotABlockGraphError):
             clique_factor(cycle(4), 2)
+
+    def test_sibling_blocks_cannot_share_their_entry_vertex(self):
+        # K_{1,3}: each leaf edge needs the centre
+        assert clique_factor(star(4), 2) is None
+
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_every_factor_gives_the_same_quotient_chi(self, r):
+        # clique_factor returns one factor, which is only safe if the choice cannot change chi
+        several = 0
+        for seed in range(80):
+            g = tree_of_cliques(3 + seed % 10, seed=300 + seed)
+            factors = all_clique_factors(g, r)
+            chis = {chromatic_number(contract_partition(g, f))[0] for f in factors}
+            assert len(chis) <= 1, (seed, g.edges())
+            several += len(factors) >= 2
+        assert several >= 5
 
 
 class TestBlockgraphSolve:

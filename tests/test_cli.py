@@ -107,6 +107,17 @@ class TestSolve:
         _, rep = solve_report(capsys, "--d", "1", "--chi", str(p), "--budget", "5")
         assert rep["verdict"] == "unknown" and rep["algorithm"] == "brute"
 
+    def test_deep_search_budget_exhaustion_exit_2(self, capsys, tmp_path):
+        # the ladder P_1000 x K2 reaches the oracle, whose search is 2000 vertices deep
+        rail = [(i, i + 1) for i in range(999)]
+        rungs = [(i, i + 1000) for i in range(1000)]
+        ladder = build_graph(2000, rail + [(u + 1000, v + 1000) for u, v in rail] + rungs)
+        p = tmp_path / "ladder.txt"
+        p.write_text(write_graph(ladder))
+        code, rep = solve_report(capsys, "--d", "1", "--chi", str(p), "--budget", "100000")
+        assert code == 2 and rep["verdict"] == "unknown" and rep["algorithm"] == "brute"
+        assert rep["reason"] == "node budget exhausted (after 100000 nodes)"
+
     @pytest.mark.parametrize(
         "family,n,d,algorithm",
         [

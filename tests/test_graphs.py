@@ -10,6 +10,7 @@ from exactcolor import (
     block_cut_tree,
     build_graph,
     complete,
+    connected_components,
     contract_partition,
     cycle,
     is_chordal,
@@ -19,6 +20,7 @@ from exactcolor import (
     recognize,
     tightness_gadget,
 )
+from exactcolor.graphs import block_sweep
 from conftest import perfect_matchings_filter
 
 
@@ -107,6 +109,28 @@ class TestBlockCutTree:
             assert (len(membership[v]) >= 2) == (v in bct.cut_vertices)
 
 
+class TestBlockSweep:
+    @given(graphs(max_n=12))
+    @settings(max_examples=80)
+    def test_rings_cover_every_block_once_leaves_last(self, g):
+        bct = block_cut_tree(g)
+        sweep = list(block_sweep(g.n, bct.blocks, bct.blocks_of_vertex(g.n)))
+        roots = [ring[0] for i, ring in sweep if i is None]
+        assert roots == [comp[0] for comp in connected_components(g)]
+        assert sorted(i for i, _ in sweep if i is not None) == list(range(len(bct.blocks)))
+        # every vertex but a root is a non-entry vertex of exactly one ring
+        non_entry = sorted(v for i, ring in sweep if i is not None for v in ring[1:])
+        assert non_entry == sorted(set(range(g.n)) - set(roots))
+        reached = set()
+        for i, ring in sweep:
+            if i is not None:
+                block = bct.blocks[i]
+                start = block.index(ring[0])
+                assert ring == block[start:] + block[:start]
+                assert ring[0] in reached  # entered from a vertex the sweep has reached
+            reached.update(ring)
+
+
 class TestRecognize:
     def test_cycle6(self):
         c = recognize(cycle(6))
@@ -178,6 +202,12 @@ class TestContractPartition:
             contract_partition(cycle(4), [[0, 1], [1, 2, 3]])
         with pytest.raises(NotAPartitionError):
             contract_partition(cycle(4), [[0, 1]])
+        with pytest.raises(NotAPartitionError):
+            contract_partition(cycle(4), [[0, 1], [2, 3], []])
+        with pytest.raises(NotAPartitionError):
+            contract_partition(cycle(4), [[0, 1], [2, 3, 4]])
+        with pytest.raises(NotAPartitionError):
+            contract_partition(cycle(4), [[0, 1], [2, 3, 3]])
 
     def test_disconnected_class(self):
         with pytest.raises(DisconnectedClassError):
