@@ -42,7 +42,6 @@ from .graphs import (
     block_cut_tree,
     block_sweep,
     contract_partition,
-    cycle_order,
     is_bipartite,
     is_d_regular,
 )
@@ -82,15 +81,6 @@ class CactusAux:
     blocks: tuple[tuple[int, ...], ...]
     blocks_of: tuple[tuple[int, ...], ...]
 
-    def cycle_adjacency(self) -> set[tuple[int, int]]:
-        """Pairs of cycle indices sharing a vertex (the v_i-v_j edges)."""
-        pairs = set()
-        for cyc_list in self.cliques:
-            for a in range(len(cyc_list)):
-                for b in range(a + 1, len(cyc_list)):
-                    pairs.add((cyc_list[a], cyc_list[b]))
-        return pairs
-
 
 @dataclass
 class LabelResult:
@@ -115,11 +105,7 @@ def cactus_preprocess(g: Graph, bct: BlockCutTree | None = None) -> CactusAux:
     """Build the auxiliary cycle structure (cycles, cliques, simplicial flags, blocks)."""
     bct = _guard_cactus(g, bct)
     kinds = bct.kinds
-    cycles = tuple(
-        tuple(cycle_order(verts, edges))
-        for verts, edges, kind in zip(bct.blocks, bct.block_edges, kinds)
-        if kind == BlockKind.CYCLE
-    )
+    cycles = tuple(v for v, kind in zip(bct.blocks, kinds) if kind == BlockKind.CYCLE)
     blocks = cycles + tuple(v for v, kind in zip(bct.blocks, kinds) if kind != BlockKind.CYCLE)
 
     blocks_of: list[list[int]] = [[] for _ in range(g.n)]

@@ -16,7 +16,7 @@ from . import families
 from .chromatic import DEFAULT_BUDGET, chromatic_number
 from .coloring import defects
 from .errors import ExactColoringError
-from .graph_io import load_graph, read_coloring, write_graph
+from .graph_io import load_graph, read_coloring, read_text, write_graph
 from .oracle import brute_solve
 from .reductions import (
     lift_solution,
@@ -35,6 +35,15 @@ EXIT_UNKNOWN = 2
 EXIT_INVALID = 3
 
 
+def _emit(text: str, path: str | None, stream) -> None:
+    """Write text to the file at path (LF newlines), or to stream when path is empty."""
+    if path:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    else:
+        stream.write(text)
+
+
 def cmd_solve(args) -> int:
     g = load_graph(args.input, args.format)
     report = solve(g, args.d, args.k, args.algorithm, args.budget)
@@ -44,8 +53,7 @@ def cmd_solve(args) -> int:
 
 def cmd_verify(args) -> int:
     g = load_graph(args.graph, args.format)
-    with open(args.coloring, encoding="utf-8") as fh:
-        col = read_coloring(fh.read(), n=g.n)
+    col = read_coloring(read_text(args.coloring), n=g.n)
     vec = defects(g, col)
     bad = [(v, x) for v, x in enumerate(vec) if x != args.d]
     if not bad:
@@ -76,12 +84,7 @@ def cmd_generate(args) -> int:
                 raise ExactColoringError(f"family {args.family} needs --m")
             params["m"] = args.m
         g = families.gen_family(name, **params)
-    text = write_graph(g, args.format)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(write_graph(g, args.format), args.output, sys.stdout)
     return EXIT_ANSWERED
 
 
@@ -110,50 +113,29 @@ def _check_reduction(kind, source_yes, target, k, d, rmap) -> None:
 
 def cmd_reduce(args) -> int:
     if args.construction == "nae3sat":
-        with open(args.input, encoding="utf-8") as fh:
-            f = parse_nae_formula(fh.read(), strict=args.strict)
+        f = parse_nae_formula(read_text(args.input), strict=args.strict)
         target, rmap = reduce_nae3sat(f, variable_gadget=args.gadget)
         source_yes = nae_satisfiable(f) is not None
         check_k, check_d = 2, 2
     else:
         g = load_graph(args.input, args.format)
+        # the source side of the round trip is only solved under --check
         if args.construction == "coloring":
             target, rmap = reduce_coloring_to_exact(g, args.k, args.d)
             check_k, check_d = args.k, args.d
-            source_yes = None
-            if args.check:
-                chi, _ = chromatic_number(g)
-                source_yes = chi <= args.k
+            source_yes = args.check and chromatic_number(g)[0] <= args.k
         elif args.construction == "planar":
             target, rmap = reduce_planar_variant(g, args.d)
             check_k, check_d = 3, args.d
-            source_yes = None
-            if args.check:
-                chi, _ = chromatic_number(g)
-                source_yes = chi <= 3
-        elif args.construction == "increment":
+            source_yes = args.check and chromatic_number(g)[0] <= 3
+        else:  # increment; argparse admits no other construction
             target, rmap = reduce_increment_defect(g, args.d)
             check_k, check_d = 2, args.d + 2
-            source_yes = None
-            if args.check:
-                source_yes = brute_solve(g, 2, args.d) is not None
-        else:
-            raise ExactColoringError(f"unknown construction {args.construction!r}")
+            source_yes = args.check and brute_solve(g, 2, args.d) is not None
 
     out_fmt = "edgelist" if args.construction == "nae3sat" else (args.format or "edgelist")
-    text = write_graph(target, out_fmt)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    map_text = rmap.to_json()
-    map_path = args.map or (args.output + ".map.json" if args.output else None)
-    if map_path:
-        with open(map_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(map_text)
-    else:
-        sys.stderr.write(map_text)
+    _emit(write_graph(target, out_fmt), args.output, sys.stdout)
+    _emit(rmap.to_json(), args.map or (args.output and args.output + ".map.json"), sys.stderr)
     if args.check:
         _check_reduction(args.construction, source_yes, target, check_k, check_d, rmap)
     return EXIT_ANSWERED
@@ -221,10 +203,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ExactColoringError as exc:
+    except (OSError, ExactColoringError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -11,6 +11,8 @@ Reading back a written graph reproduces it exactly.
 
 from __future__ import annotations
 
+import re
+
 from .coloring import Coloring
 from .errors import InconsistentHeaderError, ParseError
 from .graphs import Graph, build_graph
@@ -19,10 +21,31 @@ EDGELIST = "edgelist"
 DIMACS = "dimacs"
 
 
+# A line other than "a b" in ASCII digits; a plain EDGELIST file (LF only) has none.
+_NOT_PLAIN_LINE = re.compile(r"^(?![0-9]+ [0-9]+$)", re.MULTILINE)
+_FIRST_CHAR = re.compile(r"\S")
+
+
+def _not_utf8(exc: UnicodeDecodeError) -> ParseError:
+    return ParseError("not UTF-8 text", exc.object.count(b"\n", 0, exc.start) + 1)
+
+
 def _to_text(data) -> str:
     if isinstance(data, bytes):
-        return data.decode("utf-8")
+        try:
+            return data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(exc) from None
     return data
+
+
+def read_text(path: str) -> str:
+    """A UTF-8 text file's contents (newlines read as LF); bad UTF-8 is a ParseError."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(exc) from None
 
 
 def _lines(text: str):
@@ -31,6 +54,17 @@ def _lines(text: str):
 
 
 def _parse_edgelist(text: str) -> Graph:
+    """A plain file in one split; anything else, valid or not, line by line."""
+    if not _NOT_PLAIN_LINE.search(text, 0, len(text) - text.endswith("\n")):
+        tokens = text.split()
+        values = map(int, tokens)
+        n, m = next(values), next(values)
+        if len(tokens) == 2 * m + 2:
+            return build_graph(n, zip(values, values))
+    return _parse_edgelist_lines(text)
+
+
+def _parse_edgelist_lines(text: str) -> Graph:
     header = None
     edges = []
     for lineno, line in _lines(text):
@@ -127,16 +161,12 @@ def write_graph(g: Graph, fmt: str = EDGELIST) -> str:
 
 def sniff_format(data) -> str:
     """Guess EDGELIST vs DIMACS from the first meaningful line."""
-    for _, line in _lines(_to_text(data)):
-        if not line:
-            continue
-        return DIMACS if line[0] in ("p", "c", "e") else EDGELIST
-    return EDGELIST
+    first = _FIRST_CHAR.search(_to_text(data))
+    return DIMACS if first and first.group() in ("p", "c", "e") else EDGELIST
 
 
 def load_graph(path: str, fmt: str | None = None) -> Graph:
-    with open(path, encoding="utf-8") as fh:
-        data = fh.read()
+    data = read_text(path)
     return read_graph(data, fmt or sniff_format(data))
 
 

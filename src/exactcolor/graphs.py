@@ -31,8 +31,8 @@ class Graph:
     def __init__(self, n: int, adj: tuple[tuple[int, ...], ...]):
         self.n = n
         self.adj = adj
-        self._adjsets = tuple(frozenset(a) for a in adj)
-        self._m = sum(len(a) for a in adj) // 2
+        self._adjsets = None
+        self._m = sum(map(len, adj)) // 2
 
     @property
     def m(self) -> int:
@@ -52,6 +52,8 @@ class Graph:
         return self.adj[v]
 
     def has_edge(self, u: int, v: int) -> bool:
+        if self._adjsets is None:  # built on first use: most graphs are never asked
+            self._adjsets = tuple(frozenset(a) for a in self.adj)
         return v in self._adjsets[u]
 
     def edges(self) -> list[tuple[int, int]]:
@@ -76,15 +78,15 @@ def build_graph(n: int, edges) -> Graph:
     """
     if n < 0:
         raise OutOfRangeError("vertex count must be nonnegative")
-    nbr: list[set[int]] = [set() for _ in range(n)]
+    nbr: list[list[int]] = [[] for _ in range(n)]  # deduplicated at the end: sets cost 5x the memory
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
             raise OutOfRangeError(f"edge ({u}, {v}) has an endpoint outside [0, {n})")
         if u == v:
             raise SelfLoopError(f"self-loop at vertex {u}")
-        nbr[u].add(v)
-        nbr[v].add(u)
-    return Graph(n, tuple(tuple(sorted(s)) for s in nbr))
+        nbr[u].append(v)
+        nbr[v].append(u)
+    return Graph(n, tuple(map(tuple, map(sorted, map(set, nbr)))))
 
 
 def connected_components(g: Graph) -> list[list[int]]:
@@ -164,25 +166,24 @@ class BlockCutTree:
 
     Every edge lies in exactly one block; a vertex is a cut vertex iff it
     lies in two or more blocks.  Isolated vertices belong to no block.
-    A triangle block is reported as CYCLE but counts as a clique for
-    block-graph recognition.
+    Blocks are ordered by their sorted vertex tuples.  A cycle block lists
+    its vertices in cyclic order (as cycle_order gives it), every other
+    block in ascending order.  edge_counts[i] is the number of edges of
+    block i.  A triangle block is reported as CYCLE but counts as a clique
+    for block-graph recognition.
     """
 
-    blocks: tuple[tuple[int, ...], ...]          # sorted vertex tuples
-    block_edges: tuple[tuple[tuple[int, int], ...], ...]
+    blocks: tuple[tuple[int, ...], ...]
+    edge_counts: tuple[int, ...]
     cut_vertices: frozenset[int]
     kinds: tuple[BlockKind, ...]
 
     def is_cactus(self) -> bool:
-        return all(k in (BlockKind.EDGE, BlockKind.CYCLE) for k in self.kinds)
+        return BlockKind.CLIQUE not in self.kinds and BlockKind.OTHER not in self.kinds
 
     def is_block_graph(self) -> bool:
         # every block is a complete graph (K2, or any clique; K3 is stored as CYCLE)
-        for verts, edges in zip(self.blocks, self.block_edges):
-            b = len(verts)
-            if len(edges) != b * (b - 1) // 2:
-                return False
-        return True
+        return all(e == len(b) * (len(b) - 1) // 2 for b, e in zip(self.blocks, self.edge_counts))
 
     def blocks_of_vertex(self, n: int) -> list[list[int]]:
         """For each of the host graph's n vertices, indices of the blocks containing it."""
@@ -193,88 +194,89 @@ class BlockCutTree:
         return out
 
 
-def _classify_block(verts: tuple[int, ...], edges: tuple[tuple[int, int], ...]) -> BlockKind:
-    b, e = len(verts), len(edges)
+def _block(ring: list[int], e: int) -> tuple[tuple[int, ...], BlockKind]:
+    """A block's tuple and kind from its vertices in DFS order and its edge count.
+
+    A cycle's DFS order runs around it; it is turned to start at the
+    smallest vertex and head toward that vertex's smaller neighbor.
+    """
+    b = len(ring)
     if b == 2:
-        return BlockKind.EDGE
-    if e == b:
-        return BlockKind.CYCLE
-    if e == b * (b - 1) // 2:
-        return BlockKind.CLIQUE
-    return BlockKind.OTHER
+        return tuple(sorted(ring)), BlockKind.EDGE
+    if e != b:
+        return tuple(sorted(ring)), BlockKind.CLIQUE if 2 * e == b * (b - 1) else BlockKind.OTHER
+    i = ring.index(min(ring))
+    if ring[i - 1] > ring[(i + 1) % b]:
+        return tuple(ring[i:] + ring[:i]), BlockKind.CYCLE
+    return tuple(ring[i::-1] + ring[:i:-1]), BlockKind.CYCLE
 
 
 def block_cut_tree(g: Graph) -> BlockCutTree:
     """Hopcroft-Tarjan biconnected components, iteratively (no recursion limit).
 
-    Blocks are listed in a deterministic order and finally sorted by their
-    smallest vertex (ties by vertex tuple).
+    A block closes when the search returns from v to u with low[v] >=
+    disc[u].  Its edges are those pushed since the tree edge (u, v), so only
+    the edge stack's height is kept; its vertices are u and those pushed on
+    the vertex stack since v, which on a cycle run in cyclic order.  Two
+    blocks share at most one vertex, so sorting them by their two smallest
+    vertices sorts them by vertex tuple.
     """
-    n = g.n
+    n, adj = g.n, g.adj
     disc = [-1] * n
     low = [0] * n
-    is_cut = [False] * n
-    edge_stack: list[tuple[int, int]] = []
-    raw_blocks: list[list[tuple[int, int]]] = []
-    timer = 0
+    height = [0] * n        # edge-stack height before the tree edge into v
+    vpos = [0] * n          # index of v in the vertex stack
+    below = [0] * n         # blocks hanging below v, less one at a DFS root
+    vstack: list[int] = []
+    edges = timer = 0
+    found = []              # (two smallest vertices, block, edge count, kind)
 
     for root in range(n):
-        if disc[root] != -1 or not g.adj[root]:
+        if disc[root] != -1 or not adj[root]:
             continue
-        # iterative DFS: frames of (vertex, parent, iterator index)
-        stack = [(root, -1, 0)]
         disc[root] = low[root] = timer
         timer += 1
-        root_children = 0
+        below[root] = -1
+        stack = [(root, -1, iter(adj[root]))]
         while stack:
-            v, parent, i = stack[-1]
-            if i < len(g.adj[v]):
-                stack[-1] = (v, parent, i + 1)
-                w = g.adj[v][i]
-                if disc[w] == -1:
-                    edge_stack.append((v, w))
+            v, parent, it = stack[-1]
+            dv = disc[v]
+            for w in it:
+                dw = disc[w]
+                if dw == -1:
+                    height[w] = edges
+                    edges += 1
+                    vpos[w] = len(vstack)
+                    vstack.append(w)
                     disc[w] = low[w] = timer
                     timer += 1
-                    stack.append((w, v, 0))
-                elif w != parent and disc[w] < disc[v]:
-                    edge_stack.append((v, w))
-                    low[v] = min(low[v], disc[w])
+                    stack.append((w, v, iter(adj[w])))
+                    break
+                if dw < dv and w != parent:
+                    edges += 1
+                    if dw < low[v]:
+                        low[v] = dw
             else:
                 stack.pop()
-                if stack:
-                    u = stack[-1][0]
-                    low[u] = min(low[u], low[v])
-                    if u == root:
-                        root_children += 1
-                    if low[v] >= disc[u]:
-                        if u != root:
-                            is_cut[u] = True
-                        block = []
-                        while True:
-                            e = edge_stack.pop()
-                            block.append(e)
-                            if e == (u, v):
-                                break
-                        raw_blocks.append(block)
-        if root_children >= 2:
-            is_cut[root] = True
+                if not stack:
+                    continue
+                u = stack[-1][0]
+                if low[v] < low[u]:
+                    low[u] = low[v]
+                if low[v] >= disc[u]:
+                    below[u] += 1
+                    e = edges - height[v]
+                    verts, kind = _block([u] + vstack[vpos[v]:], e)
+                    found.append((verts[0], min(verts[1:]), verts, e, kind))
+                    del vstack[vpos[v]:]
+                    edges = height[v]
 
-    blocks: list[tuple[int, ...]] = []
-    bedges: list[tuple[tuple[int, int], ...]] = []
-    for block in raw_blocks:
-        vs = sorted({v for e in block for v in e})
-        es = tuple(sorted((min(u, w), max(u, w)) for u, w in block))
-        blocks.append(tuple(vs))
-        bedges.append(es)
-    order = sorted(range(len(blocks)), key=lambda i: blocks[i])
-    blocks = [blocks[i] for i in order]
-    bedges = [bedges[i] for i in order]
-    kinds = tuple(_classify_block(v, e) for v, e in zip(blocks, bedges))
+    found.sort()
     return BlockCutTree(
-        blocks=tuple(blocks),
-        block_edges=tuple(bedges),
-        cut_vertices=frozenset(v for v in range(n) if is_cut[v]),
-        kinds=kinds,
+        blocks=tuple(f[2] for f in found),
+        edge_counts=tuple(f[3] for f in found),
+        cut_vertices=frozenset(v for v in range(n) if below[v] > 0),
+        kinds=tuple(f[4] for f in found),
     )
 
 
@@ -405,7 +407,7 @@ class GraphClasses:
 
     @cached_property
     def is_tree(self) -> bool:
-        return self.g.n >= 1 and len(self.components) == 1 and self.is_forest
+        return self.g.n >= 1 and self.g.m == self.g.n - 1 and len(self.components) == 1
 
     @cached_property
     def is_cactus(self) -> bool:

@@ -88,11 +88,12 @@ def _relabel(outcome: SolveOutcome, order: list[int]) -> SolveOutcome:
 # module namespace (as a tracer does) also wraps it here.  Auto always
 # computes chi, even for a decision query; only a forced brute search decides
 # "chi_d <= k" directly.  The precheck applies with the failed condition,
-# which becomes the report's reason.
+# which becomes the report's reason; it reads the components at odd d only.
 ROUTES = (
     Route("chromatic", None, lambda s, d: d == 0,
           lambda s, d, k, budget: SolveOutcome.finite(*chromatic_number(s.g, budget))),
-    Route("precheck", None, lambda s, d: infeasibility_reason(s.g, d, s.components),
+    Route("precheck", None,
+          lambda s, d: infeasibility_reason(s.g, d, s.components if d % 2 else None),
           lambda *_: INFEASIBLE),
     Route("brute", None, lambda s, d: s.g.n == 0, lambda s, d, k, b: _brute(s, d, None, b)),
     Route("closedform:regular", "closedform", lambda s, d: s.regular_degree == d,

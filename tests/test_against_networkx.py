@@ -69,8 +69,12 @@ def test_block_cut_tree_matches_biconnected_components():
         expect_edges = sorted(
             tuple(sorted(tuple(sorted(e)) for e in es)) for es in nx.biconnected_component_edges(h)
         )
-        assert list(bct.blocks) == expect_blocks, g.edges()
-        assert sorted(bct.block_edges) == expect_edges, g.edges()
+        assert [tuple(sorted(b)) for b in bct.blocks] == expect_blocks, g.edges()
+        # a block's edges are the edges of g with both ends in it
+        block_edges = [tuple(e for e in g.edges() if set(e) <= set(b)) for b in bct.blocks]
+        assert sorted(block_edges) == expect_edges, g.edges()
+        assert list(bct.edge_counts) == [len(es) for es in block_edges]
+        assert sum(bct.edge_counts) == g.m
         assert bct.cut_vertices == set(nx.articulation_points(h)), g.edges()
 
 

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -21,6 +22,11 @@ from exactcolor import (
 from exactcolor.cactus import NoReason
 
 
+def cycle_adjacency(aux):
+    """Pairs of cycle indices sharing a vertex (the v_i-v_j edges of the auxiliary graph)."""
+    return {(a, b) for cyc_list in aux.cliques for a, b in combinations(cyc_list, 2)}
+
+
 def triangle():
     return build_graph(3, [(0, 1), (1, 2), (2, 0)])
 
@@ -41,7 +47,7 @@ class TestPreprocess:
         assert len(aux.cycles) == 2
         assert aux.has_w == (True, True)
         assert aux.cliques[2] == (0, 1)
-        assert aux.cycle_adjacency() == {(0, 1)}
+        assert cycle_adjacency(aux) == {(0, 1)}
 
     def test_guard(self):
         with pytest.raises(NotACactusError):

@@ -96,6 +96,18 @@ class TestSolve:
         code, _, err = run(capsys, "solve", "--d", "1", "--chi", str(p))
         assert code == 1 and "error" in err
 
+    def test_non_utf8_file_exit_1(self, capsys, tmp_path):
+        p = tmp_path / "latin1.txt"
+        p.write_bytes(b"3 2\n0 1\n1 2 \xe9\n")
+        code, out, err = run(capsys, "solve", "--d", "1", "--chi", str(p))
+        assert (code, out) == (1, "")
+        assert err == "error: line 3: not UTF-8 text\n"
+
+    def test_directory_path_exit_1(self, capsys, tmp_path):
+        code, out, err = run(capsys, "solve", "--d", "1", "--chi", str(tmp_path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_budget_exhaustion_exit_2(self, capsys, tmp_path):
         p = tmp_path / "pet.txt"
         main(["generate", "petersen", "-o", str(p)])

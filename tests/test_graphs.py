@@ -1,3 +1,5 @@
+import random
+
 from hypothesis import given, settings, strategies as st
 import pytest
 
@@ -17,10 +19,11 @@ from exactcolor import (
     path,
     perfect_matchings,
     petersen,
+    random_cactus,
     recognize,
     tightness_gadget,
 )
-from exactcolor.graphs import block_sweep
+from exactcolor.graphs import block_sweep, cycle_order
 from conftest import perfect_matchings_filter
 
 
@@ -30,6 +33,12 @@ def graphs(draw, max_n=10):
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     edges = draw(st.lists(st.sampled_from(pairs), max_size=len(pairs))) if pairs else []
     return build_graph(n, edges)
+
+
+def block_edges(g, verts):
+    """The edges of g with both ends in verts: a block's edges, when verts is a block."""
+    inside = set(verts)
+    return [(u, v) for u, v in g.edges() if u in inside and v in inside]
 
 
 class TestBuildGraph:
@@ -92,13 +101,32 @@ class TestBlockCutTree:
     @settings(max_examples=60)
     def test_edges_partition_into_blocks(self, g):
         bct = block_cut_tree(g)
-        block_edge_count = sum(len(e) for e in bct.block_edges)
-        assert block_edge_count == g.m
+        assert sum(bct.edge_counts) == g.m
         seen = set()
-        for edges in bct.block_edges:
+        for verts, count in zip(bct.blocks, bct.edge_counts):
+            edges = block_edges(g, verts)
+            assert len(edges) == count
             for e in edges:
                 assert e not in seen
                 seen.add(e)
+        assert seen == set(g.edges())
+
+    @given(st.sampled_from(["mixed", "bridged", "shared", "petaled"]),
+           st.integers(min_value=1, max_value=60), st.integers(min_value=0, max_value=10**6))
+    @settings(max_examples=80)
+    def test_cycle_blocks_are_listed_in_cyclic_order(self, style, n, seed):
+        # relabeled, so that the DFS meets cycles at any vertex and in either direction
+        label = list(range(n))
+        random.Random(seed).shuffle(label)
+        g = build_graph(n, [(label[u], label[v]) for u, v in random_cactus(n, seed, style).edges()])
+        bct = block_cut_tree(g)
+        for verts, kind in zip(bct.blocks, bct.kinds):
+            if kind != BlockKind.CYCLE:
+                assert list(verts) == sorted(verts)
+                continue
+            assert verts[0] == min(verts)
+            assert all(g.has_edge(a, b) for a, b in zip(verts, verts[1:] + verts[:1]))
+            assert list(verts) == cycle_order(verts, block_edges(g, verts))
 
     @given(graphs())
     @settings(max_examples=60)

@@ -3,8 +3,10 @@ import pytest
 
 from exactcolor import (
     Coloring,
+    ExactColoringError,
     InconsistentHeaderError,
     ParseError,
+    SelfLoopError,
     build_graph,
     path,
     read_coloring,
@@ -13,6 +15,7 @@ from exactcolor import (
     write_coloring,
     write_graph,
 )
+from exactcolor import graph_io
 
 
 @st.composite
@@ -49,6 +52,61 @@ class TestEdgelist:
             read_graph("3 3\n0 1\n1 2\n")
 
 
+# One EDGELIST line: plain "u v", or a form only the line parser reads (or rejects):
+# other separators, signs, underscores, non-ASCII digits, wrong field counts.
+_FIELD = st.one_of(
+    st.integers(min_value=0, max_value=7).map(str),
+    st.sampled_from(["+1", "1_0", "-1", "\u0663", "\uff12", "x", "007"]),
+)
+_PLAIN = st.tuples(st.integers(0, 7), st.integers(0, 7)).map(lambda e: f"{e[0]} {e[1]}")
+_LINE = st.one_of(
+    _PLAIN,
+    st.tuples(_FIELD, _FIELD, st.sampled_from([" ", "\t", "  "])).map(lambda t: t[0] + t[2] + t[1]),
+    st.sampled_from(["", "# comment", " 1 2", "1 2 ", "3", "1 2 3"]),
+)
+
+
+@st.composite
+def edgelist_texts(draw):
+    """Half plain texts (the fast path's shape), half with any of the line parser's cases."""
+    plain = draw(st.booleans())
+    body = draw(st.lists(_PLAIN if plain else _LINE, max_size=8))
+    m = len(body) + draw(st.sampled_from([0, 0, 0, -1, 1]))
+    lines = [f"{draw(st.sampled_from(['8', '8', '3', '+8']))} {m}"] + body
+    if plain:
+        return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", "# c"])))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return eol.join(lines) + draw(st.sampled_from(["", eol, eol + eol]))
+
+
+def parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except ExactColoringError as exc:
+        return type(exc), getattr(exc, "line", None), str(exc)
+
+
+class TestEdgelistFastPath:
+    @given(edgelist_texts())
+    @settings(max_examples=300)
+    def test_same_graph_or_error_as_the_line_parser(self, text):
+        expect = parse_outcome(graph_io._parse_edgelist_lines, text)
+        assert parse_outcome(read_graph, text) == expect
+
+    def test_plain_files_never_reach_the_line_parser(self, monkeypatch):
+        def line_parser(_):
+            raise AssertionError("plain EDGELIST text went to the line parser")
+
+        monkeypatch.setattr(graph_io, "_parse_edgelist_lines", line_parser)
+        assert read_graph(write_graph(path(40))) == path(40)
+        assert read_graph(write_graph(build_graph(5, []))) == build_graph(5, [])
+        assert read_graph("3 2\n0 1\n1 2") == path(3)
+        with pytest.raises(SelfLoopError):   # found by build_graph, not by the parser
+            read_graph("4 1\n3 3\n")
+
+
 class TestDimacs:
     def test_path3(self):
         g = read_graph("p edge 3 2\ne 1 2\ne 2 3", fmt="dimacs")
@@ -69,6 +127,12 @@ class TestDimacs:
     def test_sniff(self):
         assert sniff_format("p edge 1 0\n") == "dimacs"
         assert sniff_format("3 0\n") == "edgelist"
+
+    def test_sniff_reads_the_first_nonblank_line(self):
+        assert sniff_format("\n \r\n\t c made by hand\np edge 1 0\n") == "dimacs"
+        assert sniff_format(b"\r\n  e 1 2\n") == "dimacs"
+        assert sniff_format("\n\n# c\n3 0\n") == "edgelist"
+        assert sniff_format(" \n\n") == sniff_format("") == "edgelist"
 
 
 class TestRoundTrip:

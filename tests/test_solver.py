@@ -98,7 +98,8 @@ def test_budget_bounds_every_search_of_a_solve():
 def test_polynomial_routes_find_the_components_once(monkeypatch, g, d, algorithm):
     calls = count_calls(monkeypatch, "connected_components")
     assert xc.solve(g, d).algorithm == algorithm
-    assert sum(args[0] is g for args in calls) == 1
+    # at even d neither the precheck nor the tree test (m = n - 1 fails first) needs them
+    assert sum(args[0] is g for args in calls) == d % 2
 
 
 @pytest.mark.parametrize("style", ["mixed", "bridged", "shared", "petaled"])
