@@ -1,36 +1,34 @@
 """Exact (k, 2)-coloring of cactus graphs in polynomial time.
 
 Every color class of an exact (k, 2)-coloring induces disjoint cycles, and
-in a cactus all cycles are blocks.  So the solver marks each cycle block as
-monochromatic (M) or polychromatic (P) on an auxiliary structure and then
-paints the graph by one sweep per component:
+in a cactus all cycles are blocks.  So the monochromatic (M) cycle blocks
+form a cycle factor, every other cycle is polychromatic (P), and the solver
+paints the graph along the breadth-first block sweep (graphs.block_sweep):
 
-* preprocess: collect cycle blocks, then bridges, per-vertex cycle cliques,
-  and which cycles own a cycle-simplicial vertex (a vertex lying in exactly
-  one cycle; such a cycle is forced monochromatic);
-* label: seed every simplicial-owning cycle with M, then propagate through
-  the per-vertex cliques until all cycles are labeled or a local guard
-  rejects;
-* extract: run the breadth-first block sweep (graphs.block_sweep) from each
-  component's smallest vertex, painting M-cycles with one color, P-cycles
-  properly, and bridges with a differing color.
+* preprocess: collect the cycle blocks, then the bridges, and the blocks of
+  each vertex;
+* label: take the rings of the sweep in reverse, leaves first.  A ring with
+  a free (still untaken) non-entry vertex must be M and takes all its
+  vertices; every other cycle is P.  This forces the one cycle factor or
+  shows there is none;
+* extract: take the rings in sweep order, painting M-cycles with their
+  entry vertex's color, P-cycles properly, and bridges with a differing
+  color.
 
 With two colors a P-cycle must alternate, so odd P-cycles reject; with
-three or more colors that guard is dropped.  The resulting labeling is
-unique for every cactus that admits a coloring, independent of the scan
-order of the propagation loop.
+three or more colors every cycle factor gives a coloring.
 
 For defect 1 the value is min over perfect matchings M of chi(G/M), which
-lies in {1, 2, 3} for cacti.  The same block sweep, run leaves first (as
-the block-graph factor search also runs it), finds one perfect matching in
-linear time or shows there is none, and every perfect matching of a cactus
-gives the same answer, so no enumeration is needed.
+lies in {1, 2, 3} for cacti.  The same rings, run leaves first, find one
+perfect matching in linear time or show there is none, and every perfect
+matching of a cactus gives the same answer, so no enumeration is needed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 from .chromatic import greedy_coloring, smallest_last_order
 from .coloring import Coloring, INFEASIBLE, SolveOutcome, lift_coloring, monochromatic
@@ -57,29 +55,40 @@ class NoReason(Enum):
     TWO_SIMPLICIAL_CYCLES_TOUCH = "two_simplicial_cycles_touch"
     ODD_P_CYCLE = "odd_p_cycle"                      # k = 2 only
     ALL_P_CLIQUE = "all_p_clique"                    # some vertex sees no M cycle
-    ADJACENT_M = "adjacent_m"                        # propagation forced two touching M cycles
+    ADJACENT_M = "adjacent_m"                        # a forced M cycle touches another M cycle
 
 
 @dataclass
 class CactusAux:
-    """Cycle structure of a cactus.
+    """Block structure of a cactus.
 
-    cycles[i] lists cycle i's vertices in cyclic order; cycles are indexed
-    by ascending smallest contained vertex.  cliques[j] lists the cycles
-    containing vertex j (cycles sharing a vertex are pairwise "adjacent", so
-    each such list plays the role of a clique in the auxiliary graph).
-    has_w[i] says cycle i contains a cycle-simplicial vertex.  blocks lists
-    the cycles and then the bridges (u, v), so cycle i is block i and every
+    cycles[i] lists cycle i's vertices in cyclic order.  blocks lists the
+    cycles and then the bridges (u, v), so cycle i is block i and every
     block index from len(cycles) on is a bridge; blocks_of[j] lists the
-    blocks containing vertex j, for the block sweep.
+    blocks containing vertex j.  The rest is built on first use: rings is
+    the block sweep, which every solver here reads; cliques[j] lists the
+    cycles containing vertex j, and has_w[i] says cycle i contains a
+    cycle-simplicial vertex (one lying on no other cycle), which only a
+    rejection's reason needs.
     """
 
     g: Graph
     cycles: tuple[tuple[int, ...], ...]
-    cliques: tuple[tuple[int, ...], ...]
-    has_w: tuple[bool, ...]
     blocks: tuple[tuple[int, ...], ...]
     blocks_of: tuple[tuple[int, ...], ...]
+
+    @cached_property
+    def rings(self) -> tuple[tuple[int | None, tuple[int, ...]], ...]:
+        return tuple(block_sweep(self.g.n, self.blocks, self.blocks_of))
+
+    @cached_property
+    def cliques(self) -> tuple[tuple[int, ...], ...]:
+        r = len(self.cycles)
+        return tuple(tuple(i for i in b if i < r) for b in self.blocks_of)
+
+    @cached_property
+    def has_w(self) -> tuple[bool, ...]:
+        return tuple(any(len(self.cliques[v]) == 1 for v in cyc) for cyc in self.cycles)
 
 
 @dataclass
@@ -102,7 +111,7 @@ def _guard_cactus(g: Graph, bct: BlockCutTree | None = None) -> BlockCutTree:
 
 
 def cactus_preprocess(g: Graph, bct: BlockCutTree | None = None) -> CactusAux:
-    """Build the auxiliary cycle structure (cycles, cliques, simplicial flags, blocks)."""
+    """Build the block structure of a cactus: its cycles, then its bridges."""
     bct = _guard_cactus(g, bct)
     kinds = bct.kinds
     cycles = tuple(v for v, kind in zip(bct.blocks, kinds) if kind == BlockKind.CYCLE)
@@ -112,91 +121,46 @@ def cactus_preprocess(g: Graph, bct: BlockCutTree | None = None) -> CactusAux:
     for i, verts in enumerate(blocks):
         for v in verts:
             blocks_of[v].append(i)
-    r = len(cycles)
-    cliques = tuple(tuple(i for i in b if i < r) for b in blocks_of)  # the cycles among the blocks
-
-    return CactusAux(
-        g=g,
-        cycles=cycles,
-        cliques=cliques,
-        has_w=tuple(any(len(cliques[v]) == 1 for v in cyc) for cyc in cycles),
-        blocks=blocks,
-        blocks_of=tuple(tuple(b) for b in blocks_of),
-    )
+    return CactusAux(g=g, cycles=cycles, blocks=blocks, blocks_of=tuple(map(tuple, blocks_of)))
 
 
-def cactus_label(aux: CactusAux, k: int = 2, scan_order=None) -> LabelResult:
+def cactus_label(aux: CactusAux, k: int = 2) -> LabelResult:
     """Assign M/P to every cycle or reject with a reason.
 
-    k = 2 runs the strict variant (odd cycles may not be P); any k >= 3 runs
-    the relaxed variant without that check.  scan_order optionally permutes
-    the vertex order of the propagation loop; for accepted instances the
-    final labeling does not depend on it.
+    One leaves-first pass over the rings forces the cycle factor.  A cycle
+    whose ring has a free non-entry vertex must be M and takes all its
+    vertices; if one of them is already taken there is no factor.  All other
+    cycles are P, and a root or bridge end that no M cycle took is left
+    uncovered.  k = 2 runs the strict variant (odd cycles may not be P); any
+    k >= 3 runs the relaxed variant without that check.
     """
     if k < 2:
         raise BadParameterError("labeling applies to k >= 2")
-    n = aux.g.n
     r = len(aux.cycles)
-    order = list(range(n)) if scan_order is None else list(scan_order)
-
-    for j in range(n):
-        if not aux.cliques[j]:
-            return LabelResult(None, NoReason.UNCOVERED_VERTEX)
-
-    labels: list[str | None] = [None] * r
-    m_count = [0] * n                      # M-labeled cycles containing vertex j
-    unlabeled_in = [len(aux.cliques[j]) for j in range(n)]
-    all_p_somewhere = False
-    remaining = r
-
-    def apply(i: int, lab: str):
-        nonlocal remaining, all_p_somewhere
-        labels[i] = lab
-        remaining -= 1
-        for u in aux.cycles[i]:
-            unlabeled_in[u] -= 1
-            if lab == M:
-                m_count[u] += 1
-            elif unlabeled_in[u] == 0 and m_count[u] == 0:
-                all_p_somewhere = True
-
-    def m_conflict(i: int) -> bool:
-        # an M neighbor exists iff some vertex of cycle i already sees an M cycle
-        return any(m_count[u] >= 1 for u in aux.cycles[i])
-
-    # seed: every cycle owning a cycle-simplicial vertex must be monochromatic
-    for i in range(r):
-        if aux.has_w[i]:
-            if m_conflict(i):
-                return LabelResult(None, NoReason.TWO_SIMPLICIAL_CYCLES_TOUCH)
-            apply(i, M)
-
-    # propagate through the per-vertex cliques until everything is labeled
-    while remaining > 0:
-        progressed = False
-        for j in order:
-            clique = aux.cliques[j]
-            if unlabeled_in[j] >= 1 and m_count[j] >= 1:
-                target = min(i for i in clique if labels[i] is None)
-                apply(target, P)
-                if k == 2 and len(aux.cycles[target]) % 2 == 1:
-                    return LabelResult(None, NoReason.ODD_P_CYCLE)
-                if all_p_somewhere:
-                    return LabelResult(None, NoReason.ALL_P_CLIQUE)
-                progressed = True
-                continue
-            if unlabeled_in[j] == 1 and m_count[j] == 0:
-                target = next(i for i in clique if labels[i] is None)
-                if m_conflict(target):
-                    return LabelResult(None, NoReason.ADJACENT_M)
-                apply(target, M)
-                progressed = True
-                continue
-        if not progressed:
-            # unreachable on a genuine cactus: every traversal labels a cycle
-            raise RuntimeError("labeling stalled; input violates cactus structure")
-
+    taken = [False] * aux.g.n
+    labels = [P] * r
+    for i, ring in reversed(aux.rings):
+        if i is None or i >= r:  # a root or a bridge: its last vertex must be taken
+            if not taken[ring[-1]]:
+                return LabelResult(None, _reason(aux, NoReason.ALL_P_CLIQUE))
+        elif not all(taken[w] for w in ring[1:]):
+            if any(taken[w] for w in ring):  # partly taken, or its entry vertex is
+                return LabelResult(None, _reason(aux, NoReason.ADJACENT_M))
+            labels[i] = M
+            for w in ring:
+                taken[w] = True
+    if k == 2 and any(lab == P and len(cyc) % 2 for lab, cyc in zip(labels, aux.cycles)):
+        return LabelResult(None, NoReason.ODD_P_CYCLE)
     return LabelResult(tuple(labels))
+
+
+def _reason(aux: CactusAux, found: NoReason) -> NoReason:
+    """Why there is no cycle factor: a cause seen without the pass, else what it found."""
+    if not all(aux.cliques):
+        return NoReason.UNCOVERED_VERTEX
+    if any(sum(aux.has_w[i] for i in c) > 1 for c in aux.cliques):
+        return NoReason.TWO_SIMPLICIAL_CYCLES_TOUCH
+    return found
 
 
 def cactus_extract_coloring(
@@ -224,7 +188,7 @@ def cactus_extract_coloring(
             raise IncompleteLabelingError("labeling admits no coloring with this k")
         return c
 
-    for i, ring in block_sweep(g.n, aux.blocks, aux.blocks_of):
+    for i, ring in aux.rings:
         u = ring[0]
         if i is None:
             color[u] = 0
@@ -250,7 +214,7 @@ def cactus_perfect_matching(aux: CactusAux) -> list[tuple[int, int]] | None:
     """
     matched = [False] * aux.g.n
     pairs = []
-    for _, ring in reversed(list(block_sweep(aux.g.n, aux.blocks, aux.blocks_of))):
+    for _, ring in reversed(aux.rings):
         free = [not matched[w] for w in ring]
         free[0] = sum(free[1:]) % 2 == 1   # the ring takes its entry vertex
         if free[0] and matched[ring[0]]:
@@ -276,8 +240,9 @@ def cactus_chi2(g: Graph, bct: BlockCutTree | None = None) -> SolveOutcome:
     """Exact 2-defective chromatic number of a cactus, with witness.
 
     1 for disjoint unions of cycles; 2 when the strict labeling accepts; 3
-    when only the relaxed labeling accepts (three colors always suffice for
-    an outerplanar graph when any solution exists); infinite otherwise.
+    when it rejects only an odd P cycle (three colors always suffice for an
+    outerplanar graph when any solution exists); infinite without a cycle
+    factor, which no number of colors mends.
     """
     if g.n == 0:
         return SolveOutcome.finite(0, Coloring(0, ()))
@@ -287,10 +252,10 @@ def cactus_chi2(g: Graph, bct: BlockCutTree | None = None) -> SolveOutcome:
     strict = cactus_label(aux, k=2)
     if strict.ok:
         return SolveOutcome.finite(2, cactus_extract_coloring(g, aux, strict, k=2))
+    if strict.reason != NoReason.ODD_P_CYCLE:
+        return INFEASIBLE
     relaxed = cactus_label(aux, k=3)
-    if relaxed.ok:
-        return SolveOutcome.finite(3, cactus_extract_coloring(g, aux, relaxed, k=3))
-    return INFEASIBLE
+    return SolveOutcome.finite(3, cactus_extract_coloring(g, aux, relaxed, k=3))
 
 
 def cactus_chi1(g: Graph, bct: BlockCutTree | None = None) -> SolveOutcome:

@@ -402,10 +402,6 @@ class GraphClasses:
         return block_cut_tree(self.g)
 
     @cached_property
-    def is_forest(self) -> bool:
-        return self.g.m == self.g.n - len(self.components)
-
-    @cached_property
     def is_tree(self) -> bool:
         return self.g.n >= 1 and self.g.m == self.g.n - 1 and len(self.components) == 1
 

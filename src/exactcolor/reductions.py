@@ -94,7 +94,10 @@ def parse_nae_formula(data, strict: bool = False) -> NaeFormula:
                 raise ParseError("duplicate header", lineno)
             if len(fields) != 4 or fields[1] != "nae":
                 raise ParseError("expected 'p nae <vars> <clauses>'", lineno)
-            header = (int(fields[2]), int(fields[3]))
+            try:
+                header = (int(fields[2]), int(fields[3]))
+            except ValueError:
+                raise ParseError("non-integer in header", lineno) from None
             continue
         if header is None:
             raise ParseError("clause before header", lineno)

@@ -25,7 +25,7 @@ from .coloring import (
     infeasibility_reason,
     lift_coloring,
 )
-from .errors import BudgetExceededError, ExactColoringError
+from .errors import BadParameterError, BudgetExceededError, ExactColoringError
 from .graphs import Graph, GraphClasses, recognize
 from .oracle import brute_chi, brute_solve
 
@@ -139,12 +139,14 @@ def solve(
 ) -> Report:
     """Compute chi_d of g (k None) or decide chi_d <= k, through one route.
 
-    Raises ExactColoringError when `algorithm` is unknown or none of its
-    routes applies.  A search that exhausts `budget` gives an "unknown"
-    report naming the route that gave up.
+    Raises ExactColoringError when `algorithm` is unknown, d is negative or
+    none of the routes of `algorithm` applies.  A search that exhausts
+    `budget` gives an "unknown" report naming the route that gave up.
     """
     if algorithm not in ALGORITHMS:
         raise ExactColoringError(f"unknown algorithm {algorithm!r}")
+    if d < 0:
+        raise BadParameterError("defect must be nonnegative")
     start = time.perf_counter()
     s = recognize(g)
     for route in (r for r in ROUTES if algorithm in ("auto", r.group)):

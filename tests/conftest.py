@@ -6,11 +6,12 @@ filtering for regular partitions, edge-subset filtering for matchings, and
 a plain proper-coloring sweep for chromatic numbers.
 """
 
+import random
 from itertools import combinations, product
 
 import pytest
 
-from exactcolor import Graph, build_graph, is_proper, Coloring
+from exactcolor import Graph, build_graph, cactus_label, cactus_preprocess, is_proper, Coloring
 
 
 def set_partitions(items):
@@ -109,6 +110,98 @@ def exact_coloring_exists_naive(g: Graph, k: int, d: int) -> bool:
         is_exact_coloring(g, Coloring(k, assign), d)
         for assign in product(range(k), repeat=g.n)
     )
+
+
+
+def permuted(g: Graph, perm) -> Graph:
+    """The graph pi(g): vertex v of g becomes vertex perm[v]."""
+    return build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def m_cycle_sets(g: Graph, k: int = 2):
+    """The vertex sets of the cycles the cactus labeler marks M, or None on rejection."""
+    aux = cactus_preprocess(g)
+    labels = cactus_label(aux, k).labels
+    if labels is None:
+        return None
+    return {frozenset(c) for c, lab in zip(aux.cycles, labels) if lab == "M"}
+
+
+def planted_cactus(n: int, seed: int, perturb: str | None = None):
+    """A connected cactus on at most n >= 5 vertices, built around a planted cycle factor.
+
+    Returns (g, factor): factor lists the vertex sets of disjoint cycles
+    (the monochromatic ones) that cover every vertex.  Starting from one
+    such cycle, each step hangs a new one off an existing vertex by a
+    bridge, or runs a polychromatic cycle of length 3..6 through an
+    existing vertex and fresh vertices, each fresh vertex on a new factor
+    cycle of its own.  The factor is then the only one, and chi_2 is 1, 2
+    or 3 as the graph is one cycle, every polychromatic cycle is even, or
+    some is odd.  perturb adds one piece that leaves no cycle factor:
+    "pendant" a pendant vertex, "triangle" a fresh vertex on both ends of a
+    bridge (or a triangle on one vertex when there is no bridge), "bare" a
+    cycle of fresh vertices through one existing vertex, "p_only" a fresh
+    vertex, bridged to the rest, on two polychromatic triangles (13
+    vertices), so no cycle through it owns a vertex on no other cycle.
+    """
+    rng = random.Random(seed)
+    edges: list[tuple[int, int]] = []
+    factor: list[frozenset] = []
+    bridges: list[tuple[int, int]] = []
+
+    def ring(verts):
+        edges.extend((verts[i], verts[i - 1]) for i in range(len(verts)))
+
+    def m_cycle(verts):
+        ring(verts)
+        factor.append(frozenset(verts))
+
+    spare = {None: 0, "pendant": 1, "p_only": 13}.get(perturb, 2)  # room for the perturbation
+    first = rng.randint(3, min(6, max(3, n - spare)))
+    m_cycle(list(range(first)))
+    cur = first
+    while n - spare - cur >= 3:
+        room = n - spare - cur
+        anchor = rng.randrange(cur)
+        if room >= 6 and rng.random() < 0.5:
+            # a polychromatic cycle; each fresh vertex gets its own factor cycle
+            fresh = list(range(cur, cur + rng.randint(2, min(5, room // 3))))
+            ring([anchor] + fresh)
+            cur += len(fresh)
+            for j, v in enumerate(fresh):
+                left = n - spare - cur - 2 * (len(fresh) - 1 - j)  # 2 for each later one
+                size = rng.randint(3, min(6, left + 1))
+                m_cycle([v] + list(range(cur, cur + size - 1)))
+                cur += size - 1
+        else:
+            size = rng.randint(3, min(6, room))
+            m_cycle(list(range(cur, cur + size)))
+            edges.append((anchor, cur))
+            bridges.append((anchor, cur))
+            cur += size
+    if perturb == "pendant":
+        edges.append((rng.randrange(cur), cur))
+        cur += 1
+    elif perturb == "triangle" and bridges:
+        u, v = rng.choice(bridges)
+        edges += [(u, cur), (v, cur)]
+        cur += 1
+    elif perturb in ("triangle", "bare"):
+        size = 3 if perturb == "triangle" else rng.randint(3, min(6, n - cur + 1))
+        ring([rng.randrange(cur)] + list(range(cur, cur + size - 1)))
+        cur += size - 1
+    elif perturb == "p_only":
+        y = cur
+        edges.append((rng.randrange(cur), y))
+        cur += 1
+        for _ in range(2):
+            ring([y, cur, cur + 1])
+            ring([cur, cur + 2, cur + 3])
+            ring([cur + 1, cur + 4, cur + 5])
+            cur += 6
+    elif perturb is not None:
+        raise ValueError(f"unknown perturbation {perturb!r}")
+    return build_graph(cur, edges), factor
 
 
 @pytest.fixture(scope="session")

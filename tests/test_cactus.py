@@ -21,6 +21,8 @@ from exactcolor import (
 )
 from exactcolor.cactus import NoReason
 
+from conftest import m_cycle_sets, permuted, planted_cactus
+
 
 def cycle_adjacency(aux):
     """Pairs of cycle indices sharing a vertex (the v_i-v_j edges of the auxiliary graph)."""
@@ -145,14 +147,27 @@ class TestLabel:
         assert cactus_label(aux, 3).reason == NoReason.ADJACENT_M
         assert cactus_chi2(g).is_infeasible
 
-    def test_labeling_unique_under_scan_orders(self, sunlet_cactus):
-        aux = cactus_preprocess(sunlet_cactus)
-        base = cactus_label(aux, 2).labels
+    def test_labeling_invariant_under_relabeling(self, sunlet_cactus):
+        # the M cycles of pi(g) are pi of those of g: the sweep's root and
+        # order do not change the labeling
+        base = m_cycle_sets(sunlet_cactus)
         rng = random.Random(1)
         for _ in range(5):
-            order = list(range(sunlet_cactus.n))
-            rng.shuffle(order)
-            assert cactus_label(aux, 2, scan_order=order).labels == base
+            perm = list(range(sunlet_cactus.n))
+            rng.shuffle(perm)
+            got = m_cycle_sets(permuted(sunlet_cactus, perm))
+            assert got == {frozenset(perm[v] for v in c) for c in base}
+
+    def test_no_cycle_factor_reasons_agree_across_k(self):
+        # a vertex on two polychromatic triangles is left uncovered; k = 2
+        # names that, not the odd triangles it would have to alternate on
+        for seed in range(40):
+            g, _ = planted_cactus(60, seed, perturb="p_only")
+            aux = cactus_preprocess(g)
+            strict, relaxed = cactus_label(aux, 2), cactus_label(aux, 3)
+            assert strict.reason == relaxed.reason
+            assert strict.reason in (NoReason.ALL_P_CLIQUE, NoReason.ADJACENT_M)
+            assert cactus_chi2(g).is_infeasible
 
 
 class TestExtract:
@@ -224,6 +239,31 @@ class TestCactusChi2:
     def test_guard(self):
         with pytest.raises(NotACactusError):
             cactus_chi2(complete(4))
+
+
+class TestPlantedFactor:
+    def test_small_planted_cacti_agree_with_brute(self):
+        perturbations = ("pendant", "triangle", "bare")
+        answers = set()
+        for i in range(360):
+            perturb = None if i % 3 else perturbations[i // 3 % 3]
+            g, _ = planted_cactus(5 + i % 10, seed=i, perturb=perturb)
+            a, b = cactus_chi2(g), brute_chi(g, 2)
+            assert (a.chi, a.is_infeasible) == (b.chi, b.is_infeasible), (i, g)
+            if a.is_finite:
+                assert is_exact_coloring(g, a.witness, 2)
+            answers.add(a.chi)
+        assert answers == {1, 2, 3, None}
+
+    @pytest.mark.parametrize("n", [20, 200, 2000])
+    def test_labels_are_the_planted_factor(self, n):
+        for seed in range(20):
+            g, factor = planted_cactus(n, seed)
+            assert m_cycle_sets(g, 3) == set(factor)
+            perm = list(range(g.n))
+            random.Random(seed).shuffle(perm)
+            want = {frozenset(perm[v] for v in c) for c in factor}
+            assert m_cycle_sets(permuted(g, perm), 3) == want
 
 
 class TestCactusChi1:

@@ -96,6 +96,11 @@ class TestSolve:
         code, _, err = run(capsys, "solve", "--d", "1", "--chi", str(p))
         assert code == 1 and "error" in err
 
+    def test_negative_defect_exit_1(self, capsys, cycle8_file):
+        code, out, err = run(capsys, "solve", "--d", "-1", "--chi", cycle8_file)
+        assert (code, out) == (1, "")
+        assert err == "error: defect must be nonnegative\n"
+
     def test_non_utf8_file_exit_1(self, capsys, tmp_path):
         p = tmp_path / "latin1.txt"
         p.write_bytes(b"3 2\n0 1\n1 2 \xe9\n")
@@ -214,6 +219,13 @@ class TestReduce:
         assert g.n == 28
         payload = json.loads((tmp_path / "g.txt.map.json").read_text())
         assert payload["kind"] == "nae3sat" and payload["target_n"] == 28
+
+    def test_nae3sat_non_integer_header_exit_1(self, capsys, tmp_path):
+        nae = tmp_path / "f.nae"
+        nae.write_text("p nae x 1\n1 2 3 0\n")
+        code, out, err = run(capsys, "reduce", "nae3sat", str(nae), "-o", str(tmp_path / "g.txt"))
+        assert (code, out) == (1, "")
+        assert err == "error: line 1: non-integer in header\n"
 
     def test_coloring_check(self, capsys, tmp_path):
         src = tmp_path / "k3.txt"

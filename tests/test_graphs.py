@@ -174,7 +174,7 @@ class TestRecognize:
 
     def test_tree(self):
         c = recognize(path(5))
-        assert c.is_tree and c.is_forest and c.is_cactus and c.is_block_graph
+        assert c.is_tree and c.is_cactus and c.is_block_graph
 
     def test_chordal_known_cases(self):
         assert is_chordal(complete(4))

@@ -137,3 +137,10 @@ def test_precheck_reports_the_condition_that_failed(g, d, reason):
     assert (rep.verdict, rep.algorithm, rep.reason) == ("infinite", "precheck", reason)
     assert xc.solve(g, d, k=3).reason == reason
     assert xc.brute_chi(g, d).is_infeasible
+
+
+@pytest.mark.parametrize("g", [xc.random_cactus(9, seed=2), xc.complete(4), xc.random_graph(8, 0.5, 1)])
+@pytest.mark.parametrize("algorithm", ["auto", "brute"])
+def test_negative_defect_is_one_error_on_every_route(g, algorithm):
+    with pytest.raises(xc.BadParameterError, match="^defect must be nonnegative$"):
+        xc.solve(g, -1, algorithm=algorithm)
