@@ -7,19 +7,9 @@ K_{d+1}-factor (a partition of V into (d+1)-cliques), contracts it, and
 properly colors the quotient, which is again a block graph and therefore
 chordal.
 
-The factor search runs the breadth-first block sweep of the block-cut tree
-(graphs.block_sweep, shared with the cactus matching) in reverse, leaves
-first.  Every vertex but a component root is a non-entry vertex of exactly
-one ring, and the blocks hanging off it are done before that ring.  For a
-ring whose free (still uncovered) non-entry vertices number t:
-
-* t divisible by d+1: group them inside the block, leave the entry vertex;
-* t leaving remainder d: one group takes the entry vertex, unless a
-  sibling block has taken it already;
-* anything else: no factor exists.
-
-Both moves are forced (classes cannot straddle blocks), so the pass is
-exact; a root still free at the end leaves no factor.  Whether chi of the
+The factor is found by graphs.block_factor, the one leaves-first pass over
+the block sweep that the cactus and tree routes share; its moves are
+forced, so it finds a factor whenever one exists.  Whether chi of the
 quotient is independent of which factor is found is guarded by tests that
 contract every factor of small block graphs.
 """
@@ -29,7 +19,14 @@ from __future__ import annotations
 from .chromatic import chromatic_number
 from .coloring import Coloring, INFEASIBLE, SolveOutcome, lift_coloring
 from .errors import BadParameterError, NotABlockGraphError
-from .graphs import BlockCutTree, Graph, block_cut_tree, block_sweep, contract_partition
+from .graphs import (
+    BlockCutTree,
+    Graph,
+    block_cut_tree,
+    block_factor,
+    block_sweep,
+    contract_partition,
+)
 
 
 def _guard_block_graph(g: Graph, bct: BlockCutTree | None = None) -> BlockCutTree:
@@ -44,33 +41,13 @@ def clique_factor(
 ) -> list[tuple[int, ...]] | None:
     """Partition V into classes of exactly r vertices each inducing K_r, or None.
 
-    One leaves-first pass over the block sweep; each block groups the free
-    vertices it must cover in sorted runs of r.  The classes come sorted.
+    The classes come sorted; graphs.block_factor finds them.
     """
     if r < 2:
         raise BadParameterError("clique factor needs r >= 2")
     bct = _guard_block_graph(g, bct)
-    taken = [False] * g.n
-    classes: list[tuple[int, ...]] = []
-    for i, ring in reversed(list(block_sweep(g.n, bct.blocks, bct.blocks_of_vertex(g.n)))):
-        entry = ring[0]
-        if i is None:
-            if not taken[entry]:
-                return None  # a root no block took, e.g. an isolated vertex
-            continue
-        free = [w for w in ring[1:] if not taken[w]]
-        if len(free) % r == r - 1:
-            if taken[entry]:
-                return None  # a sibling block took the entry vertex
-            free.append(entry)
-        elif len(free) % r:
-            return None
-        free.sort()
-        for a in range(0, len(free), r):
-            classes.append(tuple(free[a:a + r]))
-        for w in free:
-            taken[w] = True
-    return sorted(classes)
+    classes = block_factor(g.n, list(block_sweep(g.n, bct.blocks, bct.blocks_of_vertex(g.n))), r)
+    return None if classes is None else sorted(classes)
 
 
 def blockgraph_solve(

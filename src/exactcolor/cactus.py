@@ -19,9 +19,10 @@ With two colors a P-cycle must alternate, so odd P-cycles reject; with
 three or more colors every cycle factor gives a coloring.
 
 For defect 1 the value is min over perfect matchings M of chi(G/M), which
-lies in {1, 2, 3} for cacti.  The same rings, run leaves first, find one
-perfect matching in linear time or show there is none, and every perfect
-matching of a cactus gives the same answer, so no enumeration is needed.
+lies in {1, 2, 3} for cacti.  graphs.block_factor runs the same rings
+leaves first and finds one perfect matching in linear time or shows there
+is none, and every perfect matching of a cactus gives the same answer, so
+no enumeration is needed.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .graphs import (
     BlockKind,
     Graph,
     block_cut_tree,
+    block_factor,
     block_sweep,
     contract_partition,
     is_bipartite,
@@ -203,39 +205,6 @@ def cactus_extract_coloring(
     return Coloring(k, tuple(color))
 
 
-def cactus_perfect_matching(aux: CactusAux) -> list[tuple[int, int]] | None:
-    """The pairs of a perfect matching of the cactus, or None if it has none.
-
-    The rings of the block sweep are taken in reverse, leaves first.  A ring's
-    free (still unmatched) non-entry vertices must be matched inside it, so
-    it takes its entry vertex exactly when they are odd in number.  Its
-    free vertices are then paired along the cycle, arc by arc between the
-    others; an odd arc leaves no perfect matching.  Linear time.
-    """
-    matched = [False] * aux.g.n
-    pairs = []
-    for _, ring in reversed(aux.rings):
-        free = [not matched[w] for w in ring]
-        free[0] = sum(free[1:]) % 2 == 1   # the ring takes its entry vertex
-        if free[0] and matched[ring[0]]:
-            return None
-        # start after a vertex that is not free (all free: at the entry vertex)
-        start = free.index(False) + 1 if not all(free) else 0
-        pending = None
-        for j in range(start, start + len(ring)):
-            j %= len(ring)
-            if not free[j]:
-                if pending is not None:
-                    return None
-            elif pending is None:
-                pending = ring[j]
-            else:
-                pairs.append((pending, ring[j]))
-                matched[pending] = matched[ring[j]] = True
-                pending = None
-    return pairs if all(matched) else None
-
-
 def cactus_chi2(g: Graph, bct: BlockCutTree | None = None) -> SolveOutcome:
     """Exact 2-defective chromatic number of a cactus, with witness.
 
@@ -271,7 +240,8 @@ def cactus_chi1(g: Graph, bct: BlockCutTree | None = None) -> SolveOutcome:
         return SolveOutcome.finite(0, Coloring(0, ()))
     if is_d_regular(g, 1):
         return SolveOutcome.finite(1, monochromatic(g.n))
-    pairs = cactus_perfect_matching(cactus_preprocess(g, bct))
+    aux = cactus_preprocess(g, bct)
+    pairs = block_factor(g.n, aux.rings, 2, range(len(aux.cycles)))
     if pairs is None:
         return INFEASIBLE
     quotient = contract_partition(g, pairs)

@@ -131,7 +131,7 @@ def clique_number(g: Graph, budget: int | _Budget = DEFAULT_BUDGET) -> int:
 
 
 def _exact_k_coloring(g: Graph, k: int, b: _Budget) -> list[int] | None:
-    """Backtracking proper k-coloring with DSATUR ordering.
+    """Backtracking proper k-coloring with DSATUR ordering, on an explicit stack.
 
     Symmetry is broken by letting a vertex introduce at most one color that
     is new so far, so color classes appear in canonical order.
@@ -154,27 +154,33 @@ def _exact_k_coloring(g: Graph, k: int, b: _Budget) -> list[int] | None:
                 best, key = v, cand
         return best
 
-    def rec(assigned: int, used: int) -> bool:
-        b.spend()
-        if assigned == n:
-            return True
-        v = pick()
+    # one entry per colored vertex: (v, its color, colors used before it, the
+    # neighbors that color was new to); each step spends one budget node
+    stack: list[tuple[int, int, int, list[int]]] = []
+    b.spend()
+    v, c, used = pick(), 0, 0
+    while True:
         limit = min(k, used + 1)
-        for c in range(limit):
-            if c in nbr_colors[v]:
-                continue
+        while c < limit and c in nbr_colors[v]:
+            c += 1
+        if c < limit:
             color[v] = c
             touched = [u for u in g.adj[v] if c not in nbr_colors[u]]
             for u in touched:
                 nbr_colors[u].add(c)
-            if rec(assigned + 1, max(used, c + 1)):
-                return True
+            stack.append((v, c, used, touched))
+            b.spend()
+            if len(stack) == n:
+                return color
+            v, c, used = pick(), 0, max(used, c + 1)
+        elif not stack:
+            return None
+        else:
+            v, c, used, touched = stack.pop()
             for u in touched:
                 nbr_colors[u].remove(c)
             color[v] = -1
-        return False
-
-    return color if rec(0, 0) else None
+            c += 1
 
 
 def _chromatic_connected(g: Graph, b: _Budget) -> tuple[int, list[int]]:

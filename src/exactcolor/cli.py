@@ -67,6 +67,14 @@ def cmd_verify(args) -> int:
 
 def cmd_generate(args) -> int:
     name = args.family.replace("-", "_")
+    params = {}
+    if name in ("cycle", "path", "complete", "wheel", "star",
+                "random_cactus", "random_block_graph", "random_graph"):
+        params["n"] = args.n
+    elif name in ("cartesian_k2_complete", "categorical_k2_complete"):
+        params["m"] = args.m
+    if None in params.values():
+        raise ExactColoringError(f"family {args.family} needs --{next(iter(params))}")
     if name == "random_cactus":
         g = families.random_cactus(args.n, seed=args.seed, style=args.style)
     elif name == "random_block_graph":
@@ -74,15 +82,6 @@ def cmd_generate(args) -> int:
     elif name == "random_graph":
         g = families.random_graph(args.n, p=args.p, seed=args.seed)
     else:
-        params = {}
-        if name in ("cycle", "path", "complete", "wheel", "star"):
-            if args.n is None:
-                raise ExactColoringError(f"family {args.family} needs --n")
-            params["n"] = args.n
-        elif name in ("cartesian_k2_complete", "categorical_k2_complete"):
-            if args.m is None:
-                raise ExactColoringError(f"family {args.family} needs --m")
-            params["m"] = args.m
         g = families.gen_family(name, **params)
     _emit(write_graph(g, args.format), args.output, sys.stdout)
     return EXIT_ANSWERED

@@ -16,7 +16,7 @@ from .chromatic import DEFAULT_BUDGET, _Budget, chromatic_number, max_clique
 from .coloring import Coloring, INFEASIBLE, SolveOutcome, lift_coloring, monochromatic
 from .errors import BadParameterError, NotATreeError
 from .families import wheel
-from .graphs import Graph, contract_partition, is_d_regular
+from .graphs import Graph, block_factor, contract_partition, is_d_regular
 
 
 def chi_cycle(n: int, d: int) -> SolveOutcome:
@@ -107,15 +107,11 @@ def chi_tree(g: Graph, d: int) -> SolveOutcome:
         return SolveOutcome.finite(chi, col)
     if d >= 2:
         return INFEASIBLE
-    # the unique perfect matching, pairing leaves inward (deepest first)
-    matched, pairs = [False] * g.n, []
-    for v in reversed(order):
-        if not matched[v]:
-            p = parent[v]
-            if p == -1 or matched[p]:
-                return INFEASIBLE
-            matched[v] = matched[p] = True
-            pairs.append((min(p, v), max(p, v)))
+    # the unique perfect matching; each edge (parent[v], v) is a block of the sweep
+    sweep = [(None, (0,))] + [(v, (parent[v], v)) for v in order[1:]]
+    pairs = block_factor(g.n, sweep, 2)
+    if pairs is None:
+        return INFEASIBLE
     pairs.sort()
     quotient = contract_partition(g, pairs)
     q_chi, q_col = chromatic_number(quotient)

@@ -48,9 +48,6 @@ class Graph:
     def max_degree(self) -> int:
         return max((len(a) for a in self.adj), default=0)
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adj[v]
-
     def has_edge(self, u: int, v: int) -> bool:
         if self._adjsets is None:  # built on first use: most graphs are never asked
             self._adjsets = tuple(frozenset(a) for a in self.adj)
@@ -334,6 +331,58 @@ def block_sweep(n: int, blocks, blocks_of):
                 queue.extend(ring[1:])
 
 
+def block_factor(n: int, rings, r: int, cycles=()) -> list[tuple[int, ...]] | None:
+    """A split of all n vertices into r-cliques inside blocks, or None if there is none.
+
+    rings is a block sweep (block_sweep), taken here in reverse, leaves
+    first.  Each ring covers its free (not yet covered) non-entry vertices,
+    which no later ring can reach.  It takes its entry vertex exactly when
+    their count leaves remainder r - 1, and fails if a sibling block has
+    taken it already; any other nonzero remainder fails, and so does a root
+    left free.  Both moves are forced, so the pass is exact.  A clique block
+    groups the vertices it covers in sorted runs of r.  A block listed in
+    cycles is a cactus cycle (r = 2): it pairs consecutive ring vertices,
+    arc by arc between the vertices it does not cover, and an odd arc fails.
+    Classes come in the order the pass makes them.  Linear time.
+    """
+    taken = [False] * n
+    classes: list[tuple[int, ...]] = []
+    for i, ring in reversed(rings):
+        entry = ring[0]
+        if i is None:
+            if not taken[entry]:
+                return None  # a root no block took, e.g. an isolated vertex
+            continue
+        free = [w for w in ring[1:] if not taken[w]]
+        take = len(free) % r == r - 1
+        if take:
+            if taken[entry]:
+                return None  # a sibling block took the entry vertex
+            free.append(entry)
+        elif len(free) % r:
+            return None
+        if i in cycles:
+            cover = [take] + [not taken[w] for w in ring[1:]]
+            # walk once around, starting after a vertex the ring does not cover
+            start = cover.index(False) + 1 if not all(cover) else 0
+            pending = None
+            for w, c in zip(ring[start:] + ring[:start], cover[start:] + cover[:start]):
+                if not c:
+                    if pending is not None:
+                        return None  # an odd arc
+                elif pending is None:
+                    pending = w
+                else:
+                    classes.append((pending, w))
+                    pending = None
+        else:
+            free.sort()
+            classes.extend(zip(*[iter(free)] * r))  # consecutive runs of r
+        for w in free:
+            taken[w] = True
+    return classes
+
+
 # ---------------------------------------------------------------------------
 # Class recognizers
 # ---------------------------------------------------------------------------
@@ -458,9 +507,6 @@ class Matching:
 
     edges: tuple[tuple[int, int], ...]
     perfect: bool = False
-
-    def vertices(self) -> set[int]:
-        return {v for e in self.edges for v in e}
 
 
 def perfect_matchings(g: Graph, limit: int | None = None) -> list[Matching]:

@@ -41,6 +41,7 @@ from .errors import (
     ParseError,
 )
 from .families import complete, icosahedron, octahedron
+from .graph_io import _to_text
 from .graphs import Graph, build_graph
 
 
@@ -81,7 +82,7 @@ def parse_nae_formula(data, strict: bool = False) -> NaeFormula:
     With strict=True a clause repeating a variable is rejected; otherwise it
     is kept verbatim.
     """
-    text = data.decode("utf-8") if isinstance(data, bytes) else data
+    text = _to_text(data)
     header = None
     clauses = []
     for lineno, raw in enumerate(text.split("\n"), start=1):

@@ -139,14 +139,18 @@ def solve(
 ) -> Report:
     """Compute chi_d of g (k None) or decide chi_d <= k, through one route.
 
-    Raises ExactColoringError when `algorithm` is unknown, d is negative or
-    none of the routes of `algorithm` applies.  A search that exhausts
+    Raises ExactColoringError when `algorithm` is unknown, d, k or budget is
+    negative, or no route of `algorithm` applies.  A search that exhausts
     `budget` gives an "unknown" report naming the route that gave up.
     """
     if algorithm not in ALGORITHMS:
         raise ExactColoringError(f"unknown algorithm {algorithm!r}")
     if d < 0:
         raise BadParameterError("defect must be nonnegative")
+    if k is not None and k < 0:
+        raise BadParameterError("color count must be nonnegative")
+    if budget < 0:
+        raise BadParameterError("budget must be nonnegative")
     start = time.perf_counter()
     s = recognize(g)
     for route in (r for r in ROUTES if algorithm in ("auto", r.group)):

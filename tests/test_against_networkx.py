@@ -14,7 +14,7 @@ from exactcolor import (
     random_block_graph,
     random_cactus,
 )
-from exactcolor.cactus import cactus_perfect_matching
+from exactcolor.graphs import block_factor
 
 nx = pytest.importorskip("networkx")
 
@@ -52,7 +52,8 @@ def test_cactus_perfect_matching_exists_iff_maximum_matching_is_perfect(style):
     for n in (2, 3, 4, 6, 8, 10, 13, 16, 20, 31, 40, 60, 100, 200, 400):
         for seed in range(3):
             g = random_cactus(n, seed=seed, style=style)
-            pairs = cactus_perfect_matching(cactus_preprocess(g))
+            aux = cactus_preprocess(g)
+            pairs = block_factor(g.n, aux.rings, 2, range(len(aux.cycles)))
             maximum = nx.max_weight_matching(to_networkx(g), maxcardinality=True)
             assert (pairs is not None) == (2 * len(maximum) == g.n), (n, seed)
             if pairs is not None:

@@ -101,6 +101,20 @@ class TestSolve:
         assert (code, out) == (1, "")
         assert err == "error: defect must be nonnegative\n"
 
+    @pytest.mark.parametrize("flag,what", [
+        (("--k", "-1"), "color count"), (("--budget", "-5", "--chi"), "budget"),
+    ])
+    def test_negative_k_or_budget_exit_1(self, capsys, cycle8_file, flag, what):
+        code, out, err = run(capsys, "solve", "--d", "1", *flag, cycle8_file)
+        assert (code, out) == (1, "")
+        assert err == f"error: {what} must be nonnegative\n"
+
+    def test_long_odd_cycle_d0_exit_0(self, capsys, tmp_path):
+        p = tmp_path / "c1001.txt"
+        assert main(["generate", "cycle", "--n", "1001", "-o", str(p)]) == 0
+        code, rep = solve_report(capsys, "--d", "0", "--chi", str(p))
+        assert (code, rep["verdict"], rep["chi"]) == (0, "yes", 3)
+
     def test_non_utf8_file_exit_1(self, capsys, tmp_path):
         p = tmp_path / "latin1.txt"
         p.write_bytes(b"3 2\n0 1\n1 2 \xe9\n")
@@ -202,6 +216,15 @@ class TestGenerate:
         _, out, _ = run(capsys, "generate", "cartesian-k2-complete", "--m", "4")
         g = read_graph(out)
         assert g.n == 8 and all(g.degree(v) == 4 for v in range(8))
+
+    @pytest.mark.parametrize("family,flag", [
+        ("random-graph", "n"), ("random-cactus", "n"), ("random-block-graph", "n"),
+        ("cycle", "n"), ("cartesian-k2-complete", "m"),
+    ])
+    def test_family_without_size_exit_1(self, capsys, family, flag):
+        code, out, err = run(capsys, "generate", family)
+        assert (code, out) == (1, "")
+        assert err == f"error: family {family} needs --{flag}\n"
 
     def test_unknown_family_exit_1(self, capsys):
         code, _, err = run(capsys, "generate", "moebius", "--n", "5")

@@ -3,8 +3,10 @@ import pytest
 from exactcolor import (
     BadParameterError,
     NotATreeError,
+    blockgraph_chi,
     brute_chi,
     build_graph,
+    cactus_chi1,
     chi_complete,
     chi_cycle,
     chi_regular_trivial,
@@ -115,6 +117,31 @@ class TestChiTree:
         assert (a.chi, a.is_infeasible) == (b.chi, b.is_infeasible)
         if a.is_finite:
             assert is_exact_coloring(t, a.witness, 1)
+
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_tree_cactus_and_blockgraph_routes_agree(self, seed):
+        # a tree is both a cactus and a block graph, so the three d = 1 routes
+        # must agree; odd seeds plant a perfect matching
+        import random
+
+        rng = random.Random(seed)
+        n = rng.choice([2, 7, 40, 301, 2000])
+        if seed % 2:
+            n -= n % 2
+            edges = [(2 * i, 2 * i + 1) for i in range(n // 2)]
+            edges += [(rng.randrange(2 * i), 2 * i + rng.randrange(2)) for i in range(1, n // 2)]
+        else:
+            edges = [(rng.randrange(v), v) for v in range(1, n)]
+        perm = list(range(n))
+        rng.shuffle(perm)
+        t = build_graph(n, [(perm[u], perm[v]) for u, v in edges])
+        outs = [chi_tree(t, 1), cactus_chi1(t), blockgraph_chi(t, 1)]
+        assert len({(o.chi, o.is_infeasible) for o in outs}) == 1
+        assert outs[0].is_finite or not seed % 2
+        for o in outs:
+            if o.is_finite:
+                assert o.witness.k == o.chi and is_exact_coloring(t, o.witness, 1)
 
 
 class TestChiComplete:

@@ -11,6 +11,7 @@ from exactcolor import (
     SelfLoopError,
     block_cut_tree,
     build_graph,
+    cactus_chi1,
     complete,
     connected_components,
     contract_partition,
@@ -23,7 +24,7 @@ from exactcolor import (
     recognize,
     tightness_gadget,
 )
-from exactcolor.graphs import block_sweep, cycle_order
+from exactcolor.graphs import block_factor, block_sweep, cycle_order
 from conftest import perfect_matchings_filter
 
 
@@ -157,6 +158,28 @@ class TestBlockSweep:
                 assert ring == block[start:] + block[:start]
                 assert ring[0] in reached  # entered from a vertex the sweep has reached
             reached.update(ring)
+
+
+class TestBlockFactor:
+    def test_odd_arc_fails(self):
+        # C6 with pendants on 1 and 3: the cycle must cover 0, 2, 4 and 5, an even
+        # count, but 2 sits alone between 1 and 3, so no perfect matching exists
+        g = build_graph(8, [(i, (i + 1) % 6) for i in range(6)] + [(1, 6), (3, 7)])
+        bct = block_cut_tree(g)
+        rings = list(block_sweep(g.n, bct.blocks, bct.blocks_of_vertex(g.n)))
+        cycles = [i for i, kind in enumerate(bct.kinds) if kind == BlockKind.CYCLE]
+        assert block_factor(g.n, rings, 2, cycles) is None
+        # the count rule alone accepts it, with a pair that is no edge
+        classes = block_factor(g.n, rings, 2)
+        assert classes is not None and not all(g.has_edge(u, v) for u, v in classes)
+        assert perfect_matchings(g) == [] and cactus_chi1(g).is_infeasible
+
+    def test_cycle_pairs_follow_the_ring(self):
+        g = cycle(6)
+        bct = block_cut_tree(g)
+        rings = list(block_sweep(g.n, bct.blocks, bct.blocks_of_vertex(g.n)))
+        assert block_factor(g.n, rings, 2, [0]) == [(0, 1), (2, 3), (4, 5)]
+        assert block_factor(g.n, rings[:1], 2) is None  # a root no block took
 
 
 class TestRecognize:

@@ -41,6 +41,10 @@ class TestNaeFormula:
         assert f == FIG1
         assert parse_nae_formula(format_nae_formula(f)) == f
 
+    def test_bad_utf8_bytes_are_a_parse_error(self):
+        with pytest.raises(ParseError, match="^line 2: not UTF-8 text$"):
+            parse_nae_formula(b"p nae 3 1\n1 2 \xe9 0\n")
+
     def test_strict_rejects_repeats(self):
         text = "p nae 1 1\n1 1 1 0\n"
         assert parse_nae_formula(text).clauses == ((0, 0, 0),)

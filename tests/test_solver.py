@@ -144,3 +144,21 @@ def test_precheck_reports_the_condition_that_failed(g, d, reason):
 def test_negative_defect_is_one_error_on_every_route(g, algorithm):
     with pytest.raises(xc.BadParameterError, match="^defect must be nonnegative$"):
         xc.solve(g, -1, algorithm=algorithm)
+
+
+@pytest.mark.parametrize("algorithm", ["auto", "closedform", "cactus", "brute"])
+@pytest.mark.parametrize("kwargs,message", [
+    ({"k": -1}, "color count must be nonnegative"),
+    ({"budget": -5}, "budget must be nonnegative"),
+])
+def test_negative_k_or_budget_is_one_error_on_every_route(algorithm, kwargs, message):
+    with pytest.raises(xc.BadParameterError, match=f"^{message}$"):
+        xc.solve(xc.cycle(8), 1, algorithm=algorithm, **kwargs)
+
+
+def test_long_odd_cycle_at_d0_needs_no_recursion():
+    # the exact k-coloring search backtracks once per vertex: 2001 levels
+    g = xc.cycle(2001)
+    rep = xc.solve(g, 0)
+    assert (rep.verdict, rep.chi) == ("yes", 3)
+    assert xc.is_exact_coloring(g, rep.witness, 0)
