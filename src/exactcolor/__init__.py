@@ -46,6 +46,7 @@ from .errors import (
     ExactColoringError,
     InconsistentHeaderError,
     IncompleteLabelingError,
+    InvalidWitnessError,
     LengthMismatchError,
     LiftContractViolatedError,
     MalformedFormulaError,

@@ -7,9 +7,10 @@ K_{d+1}-factor (a partition of V into (d+1)-cliques), contracts it, and
 properly colors the quotient, which is again a block graph and therefore
 chordal.
 
-The factor is found by graphs.block_factor, the one leaves-first pass over
-the block sweep that the cactus and tree routes share; its moves are
-forced, so it finds a factor whenever one exists.  Whether chi of the
+The factor is found by graphs.block_factor, the one leaves-first pass that
+the cactus and tree routes share, over the block sweep the depth-first
+search of graphs.block_cut_tree records as it closes each block; its moves
+are forced, so it finds a factor whenever one exists.  Whether chi of the
 quotient is independent of which factor is found is guarded by tests that
 contract every factor of small block graphs.
 """
@@ -24,14 +25,13 @@ from .graphs import (
     Graph,
     block_cut_tree,
     block_factor,
-    block_sweep,
     contract_partition,
 )
 
 
 def _guard_block_graph(g: Graph, bct: BlockCutTree | None = None) -> BlockCutTree:
     bct = bct or block_cut_tree(g)
-    if not bct.is_block_graph():
+    if not bct.is_block_graph:
         raise NotABlockGraphError("input is not a block graph")
     return bct
 
@@ -46,7 +46,7 @@ def clique_factor(
     if r < 2:
         raise BadParameterError("clique factor needs r >= 2")
     bct = _guard_block_graph(g, bct)
-    classes = block_factor(g.n, list(block_sweep(g.n, bct.blocks, bct.blocks_of_vertex(g.n))), r)
+    classes = block_factor(g.n, bct.sweep, r)
     return None if classes is None else sorted(classes)
 
 

@@ -3,26 +3,27 @@
 Every color class of an exact (k, 2)-coloring induces disjoint cycles, and
 in a cactus all cycles are blocks.  So the monochromatic (M) cycle blocks
 form a cycle factor, every other cycle is polychromatic (P), and the solver
-paints the graph along the breadth-first block sweep (graphs.block_sweep):
+runs on the leaves-first block sweep that the depth-first search of
+graphs.block_cut_tree records as it closes each block:
 
-* preprocess: collect the cycle blocks, then the bridges, and the blocks of
-  each vertex;
-* label: take the rings of the sweep in reverse, leaves first.  A ring with
-  a free (still untaken) non-entry vertex must be M and takes all its
-  vertices; every other cycle is P.  This forces the one cycle factor or
-  shows there is none;
-* extract: take the rings in sweep order, painting M-cycles with their
-  entry vertex's color, P-cycles properly, and bridges with a differing
-  color.
+* preprocess: check that every block is an edge or a cycle; the rings of
+  three or more vertices are the cycles, in cyclic order;
+* label: take the rings in sweep order, leaves first.  A ring with a free
+  (still untaken) non-entry vertex must be M and takes all its vertices;
+  every other cycle is P.  This forces the one cycle factor or shows
+  there is none;
+* extract: take the rings in reverse, root first, painting M-cycles with
+  their entry vertex's color, P-cycles properly, and bridges with a
+  differing color.
 
 With two colors a P-cycle must alternate, so odd P-cycles reject; with
 three or more colors every cycle factor gives a coloring.
 
 For defect 1 the value is min over perfect matchings M of chi(G/M), which
-lies in {1, 2, 3} for cacti.  graphs.block_factor runs the same rings
-leaves first and finds one perfect matching in linear time or shows there
-is none, and every perfect matching of a cactus gives the same answer, so
-no enumeration is needed.
+lies in {1, 2, 3} for cacti.  graphs.block_factor runs the same sweep
+and finds one perfect matching in linear time or shows there is none, and
+every perfect matching of a cactus gives the same answer, so no
+enumeration is needed.
 """
 
 from __future__ import annotations
@@ -36,11 +37,9 @@ from .coloring import Coloring, INFEASIBLE, SolveOutcome, lift_coloring, monochr
 from .errors import BadParameterError, IncompleteLabelingError, NotACactusError
 from .graphs import (
     BlockCutTree,
-    BlockKind,
     Graph,
     block_cut_tree,
     block_factor,
-    block_sweep,
     contract_partition,
     is_bipartite,
     is_d_regular,
@@ -62,31 +61,34 @@ class NoReason(Enum):
 
 @dataclass
 class CactusAux:
-    """Block structure of a cactus.
+    """Block structure of a cactus, read off its block-cut tree.
 
-    cycles[i] lists cycle i's vertices in cyclic order.  blocks lists the
-    cycles and then the bridges (u, v), so cycle i is block i and every
-    block index from len(cycles) on is a bridge; blocks_of[j] lists the
-    blocks containing vertex j.  The rest is built on first use: rings is
-    the block sweep, which every solver here reads; cliques[j] lists the
-    cycles containing vertex j, and has_w[i] says cycle i contains a
-    cycle-simplicial vertex (one lying on no other cycle), which only a
-    rejection's reason needs.
+    rings is the tree's leaves-first sweep, which every solver here reads.
+    A ring of three or more vertices is a cycle in cyclic order, and
+    cycles lists them in sweep order, so cycle i is the i-th such ring.
+    The rest is built on first use: cliques[j] lists the cycles containing
+    vertex j, and has_w[i] says cycle i contains a cycle-simplicial vertex
+    (one lying on no other cycle), which only a rejection's reason needs.
     """
 
     g: Graph
-    cycles: tuple[tuple[int, ...], ...]
-    blocks: tuple[tuple[int, ...], ...]
-    blocks_of: tuple[tuple[int, ...], ...]
+    bct: BlockCutTree
+
+    @property
+    def rings(self) -> tuple[tuple[int | None, tuple[int, ...]], ...]:
+        return self.bct.sweep
 
     @cached_property
-    def rings(self) -> tuple[tuple[int | None, tuple[int, ...]], ...]:
-        return tuple(block_sweep(self.g.n, self.blocks, self.blocks_of))
+    def cycles(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(b for b in self.bct.blocks if len(b) > 2)
 
     @cached_property
     def cliques(self) -> tuple[tuple[int, ...], ...]:
-        r = len(self.cycles)
-        return tuple(tuple(i for i in b if i < r) for b in self.blocks_of)
+        out: list[list[int]] = [[] for _ in range(self.g.n)]
+        for i, cyc in enumerate(self.cycles):
+            for v in cyc:
+                out[v].append(i)
+        return tuple(map(tuple, out))
 
     @cached_property
     def has_w(self) -> tuple[bool, ...]:
@@ -105,31 +107,18 @@ class LabelResult:
         return self.labels is not None
 
 
-def _guard_cactus(g: Graph, bct: BlockCutTree | None = None) -> BlockCutTree:
-    bct = bct or block_cut_tree(g)
-    if not bct.is_cactus():
-        raise NotACactusError("input is not a cactus")
-    return bct
-
-
 def cactus_preprocess(g: Graph, bct: BlockCutTree | None = None) -> CactusAux:
-    """Build the block structure of a cactus: its cycles, then its bridges."""
-    bct = _guard_cactus(g, bct)
-    kinds = bct.kinds
-    cycles = tuple(v for v, kind in zip(bct.blocks, kinds) if kind == BlockKind.CYCLE)
-    blocks = cycles + tuple(v for v, kind in zip(bct.blocks, kinds) if kind != BlockKind.CYCLE)
-
-    blocks_of: list[list[int]] = [[] for _ in range(g.n)]
-    for i, verts in enumerate(blocks):
-        for v in verts:
-            blocks_of[v].append(i)
-    return CactusAux(g=g, cycles=cycles, blocks=blocks, blocks_of=tuple(map(tuple, blocks_of)))
+    """The block structure of a cactus; NotACactusError for any other graph."""
+    bct = bct or block_cut_tree(g)
+    if not bct.is_cactus:
+        raise NotACactusError("input is not a cactus")
+    return CactusAux(g=g, bct=bct)
 
 
 def cactus_label(aux: CactusAux, k: int = 2) -> LabelResult:
     """Assign M/P to every cycle or reject with a reason.
 
-    One leaves-first pass over the rings forces the cycle factor.  A cycle
+    One leaves-first pass over the sweep forces the cycle factor.  A cycle
     whose ring has a free non-entry vertex must be M and takes all its
     vertices; if one of them is already taken there is no factor.  All other
     cycles are P, and a root or bridge end that no M cycle took is left
@@ -138,17 +127,18 @@ def cactus_label(aux: CactusAux, k: int = 2) -> LabelResult:
     """
     if k < 2:
         raise BadParameterError("labeling applies to k >= 2")
-    r = len(aux.cycles)
     taken = [False] * aux.g.n
-    labels = [P] * r
-    for i, ring in reversed(aux.rings):
-        if i is None or i >= r:  # a root or a bridge: its last vertex must be taken
+    labels = []
+    for _, ring in aux.rings:
+        if len(ring) < 3:  # a root or a bridge: its last vertex must be taken
             if not taken[ring[-1]]:
                 return LabelResult(None, _reason(aux, NoReason.ALL_P_CLIQUE))
-        elif not all(taken[w] for w in ring[1:]):
-            if any(taken[w] for w in ring):  # partly taken, or its entry vertex is
-                return LabelResult(None, _reason(aux, NoReason.ADJACENT_M))
-            labels[i] = M
+        elif all(taken[w] for w in ring[1:]):
+            labels.append(P)
+        elif any(taken[w] for w in ring):  # partly taken, or its entry vertex is
+            return LabelResult(None, _reason(aux, NoReason.ADJACENT_M))
+        else:
+            labels.append(M)
             for w in ring:
                 taken[w] = True
     if k == 2 and any(lab == P and len(cyc) % 2 for lab, cyc in zip(labels, aux.cycles)):
@@ -170,7 +160,7 @@ def cactus_extract_coloring(
 ) -> Coloring:
     """Turn a complete M/P labeling into an exact (k, 2)-coloring.
 
-    The rings of the block sweep are painted in order, roots with color 0.
+    The rings of the block sweep are painted in reverse, roots with color 0.
     The entry vertex fixes the ring: M-cycles copy its color, P-cycles and
     bridges get an alternating (k = 2) or smallest-legal proper coloring.
     """
@@ -190,11 +180,12 @@ def cactus_extract_coloring(
             raise IncompleteLabelingError("labeling admits no coloring with this k")
         return c
 
-    for i, ring in aux.rings:
+    cycle_labels = reversed(labels)  # the cycles come in reverse too
+    for i, ring in reversed(aux.rings):
         u = ring[0]
         if i is None:
             color[u] = 0
-        elif i < len(aux.cycles) and labels[i] == M:  # later indices are bridges
+        elif len(ring) > 2 and next(cycle_labels) == M:
             for w in ring[1:]:
                 color[w] = color[u]
         else:
@@ -241,7 +232,7 @@ def cactus_chi1(g: Graph, bct: BlockCutTree | None = None) -> SolveOutcome:
     if is_d_regular(g, 1):
         return SolveOutcome.finite(1, monochromatic(g.n))
     aux = cactus_preprocess(g, bct)
-    pairs = block_factor(g.n, aux.rings, 2, range(len(aux.cycles)))
+    pairs = block_factor(g.n, aux.rings, 2, cyclic=True)
     if pairs is None:
         return INFEASIBLE
     quotient = contract_partition(g, pairs)

@@ -106,6 +106,9 @@ def max_clique(g: Graph, budget: int | _Budget = DEFAULT_BUDGET) -> list[int]:
 
     b = _Budget.of(budget)
     order = sorted(range(g.n), key=lambda v: (-len(g.adj[v]), v))
+    pos = [0] * g.n
+    for i, v in enumerate(order):
+        pos[v] = i
     best: list[int] = []
 
     def expand(clique: list[int], cand: list[int]):
@@ -118,8 +121,12 @@ def max_clique(g: Graph, budget: int | _Budget = DEFAULT_BUDGET) -> list[int]:
         for i, v in enumerate(cand):
             if len(clique) + len(cand) - i <= len(best):
                 return
+            if clique:
+                later = [u for u in cand[i + 1:] if g.has_edge(u, v)]
+            else:  # the top level, where cand is order: v's later neighbors, in order
+                later = sorted([w for w in g.adj[v] if pos[w] > i], key=pos.__getitem__)
             clique.append(v)
-            expand(clique, [u for u in cand[i + 1:] if g.has_edge(u, v)])
+            expand(clique, later)
             clique.pop()
 
     expand([], order)
@@ -141,18 +148,27 @@ def _exact_k_coloring(g: Graph, k: int, b: _Budget) -> list[int] | None:
         return []
     if k <= 0:
         return None
+    adj = g.adj
     color = [-1] * n
     nbr_colors: list[set[int]] = [set() for _ in range(n)]
+    # a lazy max-heap on (saturation, degree, -v): each uncolored vertex has an
+    # entry with its current saturation; entries of colored vertices and
+    # outdated saturations are dropped when they reach the top
+    heap = [(0, -len(adj[v]), v) for v in range(n)]
+    heapq.heapify(heap)
+
+    def push(u: int) -> None:
+        heapq.heappush(heap, (-len(nbr_colors[u]), -len(adj[u]), u))
 
     def pick() -> int:
-        best, key = -1, None
-        for v in range(n):
-            if color[v] != -1:
-                continue
-            cand = (len(nbr_colors[v]), len(g.adj[v]), -v)
-            if key is None or cand > key:
-                best, key = v, cand
-        return best
+        if len(heap) > 4 * n:  # mostly dropped entries: rebuild from the uncolored vertices
+            heap[:] = [(-len(nbr_colors[u]), -len(adj[u]), u) for u in range(n) if color[u] == -1]
+            heapq.heapify(heap)
+        while True:
+            s, _, v = heap[0]
+            if color[v] == -1 and -s == len(nbr_colors[v]):
+                return v
+            heapq.heappop(heap)
 
     # one entry per colored vertex: (v, its color, colors used before it, the
     # neighbors that color was new to); each step spends one budget node
@@ -165,9 +181,11 @@ def _exact_k_coloring(g: Graph, k: int, b: _Budget) -> list[int] | None:
             c += 1
         if c < limit:
             color[v] = c
-            touched = [u for u in g.adj[v] if c not in nbr_colors[u]]
+            touched = [u for u in adj[v] if c not in nbr_colors[u]]
             for u in touched:
                 nbr_colors[u].add(c)
+                if color[u] == -1:
+                    push(u)
             stack.append((v, c, used, touched))
             b.spend()
             if len(stack) == n:
@@ -179,7 +197,10 @@ def _exact_k_coloring(g: Graph, k: int, b: _Budget) -> list[int] | None:
             v, c, used, touched = stack.pop()
             for u in touched:
                 nbr_colors[u].remove(c)
+                if color[u] == -1:
+                    push(u)
             color[v] = -1
+            push(v)
             c += 1
 
 

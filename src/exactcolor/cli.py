@@ -9,6 +9,7 @@ invalid.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 
@@ -200,11 +201,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # A command allocates millions of acyclic tuples and lists and leaves no
+    # cyclic garbage that grows with the graph, so the cyclic collector would
+    # only rescan them; it is paused for the command and then restored.
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except (OSError, ExactColoringError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -107,8 +107,9 @@ def chi_tree(g: Graph, d: int) -> SolveOutcome:
         return SolveOutcome.finite(chi, col)
     if d >= 2:
         return INFEASIBLE
-    # the unique perfect matching; each edge (parent[v], v) is a block of the sweep
-    sweep = [(None, (0,))] + [(v, (parent[v], v)) for v in order[1:]]
+    # the unique perfect matching; each edge (parent[v], v) is a block, and the
+    # reversed BFS order runs leaves first
+    sweep = [(v, (parent[v], v)) for v in reversed(order[1:])] + [(None, (0,))]
     pairs = block_factor(g.n, sweep, 2)
     if pairs is None:
         return INFEASIBLE

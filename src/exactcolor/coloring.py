@@ -120,8 +120,8 @@ def is_exact_coloring(g: Graph, c: Coloring, d: int) -> bool:
     if len(c.assign) != g.n:
         return False
     a = c.assign
-    for v in range(g.n):
-        if sum(1 for u in g.adj[v] if a[u] == a[v]) != d:
+    for nbrs, cv in zip(g.adj, a):
+        if [a[u] for u in nbrs].count(cv) != d:
             return False
     return True
 

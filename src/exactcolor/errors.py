@@ -80,6 +80,10 @@ class LiftContractViolatedError(ExactColoringError):
     """
 
 
+class InvalidWitnessError(ExactColoringError):
+    """A solver's witness is not an exact coloring.  Always a bug, never an answer."""
+
+
 class BudgetExceededError(RuntimeError):
     """A backtracking search exhausted its node budget without an answer."""
 

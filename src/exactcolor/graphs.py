@@ -159,121 +159,111 @@ class BlockKind(Enum):
 
 @dataclass(frozen=True)
 class BlockCutTree:
-    """Blocks and cut vertices of a graph.
+    """Blocks and cut vertices of a graph, in the order a depth-first search closes them.
 
     Every edge lies in exactly one block; a vertex is a cut vertex iff it
     lies in two or more blocks.  Isolated vertices belong to no block.
-    Blocks are ordered by their sorted vertex tuples.  A cycle block lists
-    its vertices in cyclic order (as cycle_order gives it), every other
-    block in ascending order.  edge_counts[i] is the number of edges of
-    block i.  A triangle block is reported as CYCLE but counts as a clique
-    for block-graph recognition.
+    Each block is a ring that starts at its entry vertex, the one the
+    search reached first; on a cycle block the ring runs around the cycle.
+    edge_counts[i] is the number of edges of block i.  A triangle block is
+    reported as CYCLE but counts as a clique for block-graph recognition.
+
+    sweep holds (i, blocks[i]) for every block and (None, (r,)) for each
+    component's root r, its smallest vertex, in closing order.  A block
+    closes after every block entered at one of its other vertices, and a
+    root after its whole component, so the sweep runs leaves first; in
+    reverse, every entry vertex is reached before its ring.
     """
 
     blocks: tuple[tuple[int, ...], ...]
     edge_counts: tuple[int, ...]
     cut_vertices: frozenset[int]
     kinds: tuple[BlockKind, ...]
-
-    def is_cactus(self) -> bool:
-        return BlockKind.CLIQUE not in self.kinds and BlockKind.OTHER not in self.kinds
-
-    def is_block_graph(self) -> bool:
-        # every block is a complete graph (K2, or any clique; K3 is stored as CYCLE)
-        return all(e == len(b) * (len(b) - 1) // 2 for b, e in zip(self.blocks, self.edge_counts))
-
-    def blocks_of_vertex(self, n: int) -> list[list[int]]:
-        """For each of the host graph's n vertices, indices of the blocks containing it."""
-        out: list[list[int]] = [[] for _ in range(n)]
-        for i, verts in enumerate(self.blocks):
-            for v in verts:
-                out[v].append(i)
-        return out
-
-
-def _block(ring: list[int], e: int) -> tuple[tuple[int, ...], BlockKind]:
-    """A block's tuple and kind from its vertices in DFS order and its edge count.
-
-    A cycle's DFS order runs around it; it is turned to start at the
-    smallest vertex and head toward that vertex's smaller neighbor.
-    """
-    b = len(ring)
-    if b == 2:
-        return tuple(sorted(ring)), BlockKind.EDGE
-    if e != b:
-        return tuple(sorted(ring)), BlockKind.CLIQUE if 2 * e == b * (b - 1) else BlockKind.OTHER
-    i = ring.index(min(ring))
-    if ring[i - 1] > ring[(i + 1) % b]:
-        return tuple(ring[i:] + ring[:i]), BlockKind.CYCLE
-    return tuple(ring[i::-1] + ring[:i:-1]), BlockKind.CYCLE
+    sweep: tuple[tuple[int | None, tuple[int, ...]], ...]
+    is_cactus: bool          # every block is an edge or a cycle
+    is_block_graph: bool     # every block is a clique (K2, K3 stored as CYCLE, or larger)
 
 
 def block_cut_tree(g: Graph) -> BlockCutTree:
     """Hopcroft-Tarjan biconnected components, iteratively (no recursion limit).
 
     A block closes when the search returns from v to u with low[v] >=
-    disc[u].  Its edges are those pushed since the tree edge (u, v), so only
-    the edge stack's height is kept; its vertices are u and those pushed on
-    the vertex stack since v, which on a cycle run in cyclic order.  Two
-    blocks share at most one vertex, so sorting them by their two smallest
-    vertices sorts them by vertex tuple.
+    disc[u].  Its edges are those counted since the search reached v, so
+    only their running count is kept; its ring is u and the vertices pushed
+    on the vertex stack since v, which on a cycle run in cyclic order.  Its
+    kind follows from its size b and edge count e: a 2-connected block has
+    e >= b, with equality only on a cycle.  Each edge is counted from its
+    later end, the tree edge to the parent included: that edge lowers
+    low[v] to disc[u] at most, which changes neither test against disc[u].
     """
     n, adj = g.n, g.adj
     disc = [-1] * n
     low = [0] * n
-    height = [0] * n        # edge-stack height before the tree edge into v
+    height = [0] * n        # edge count before the tree edge into v
     vpos = [0] * n          # index of v in the vertex stack
     below = [0] * n         # blocks hanging below v, less one at a DFS root
     vstack: list[int] = []
     edges = timer = 0
-    found = []              # (two smallest vertices, block, edge count, kind)
+    blocks, counts, kinds, sweep = [], [], [], []
+    cactus = block_graph = True
+    EDGE, CYCLE, CLIQUE, OTHER = BlockKind
 
     for root in range(n):
-        if disc[root] != -1 or not adj[root]:
+        if disc[root] != -1:
             continue
         disc[root] = low[root] = timer
         timer += 1
         below[root] = -1
-        stack = [(root, -1, iter(adj[root]))]
+        stack = [(root, iter(adj[root]))]
         while stack:
-            v, parent, it = stack[-1]
-            dv = disc[v]
+            v, it = stack[-1]
+            dv, lv = disc[v], low[v]
             for w in it:
                 dw = disc[w]
                 if dw == -1:
+                    low[v] = lv
                     height[w] = edges
-                    edges += 1
                     vpos[w] = len(vstack)
                     vstack.append(w)
                     disc[w] = low[w] = timer
                     timer += 1
-                    stack.append((w, v, iter(adj[w])))
+                    stack.append((w, iter(adj[w])))
                     break
-                if dw < dv and w != parent:
+                if dw < dv:
                     edges += 1
-                    if dw < low[v]:
-                        low[v] = dw
+                    if dw < lv:
+                        lv = dw
             else:
                 stack.pop()
                 if not stack:
                     continue
                 u = stack[-1][0]
-                if low[v] < low[u]:
-                    low[u] = low[v]
-                if low[v] >= disc[u]:
+                if lv < low[u]:
+                    low[u] = lv
+                if lv >= disc[u]:
                     below[u] += 1
-                    e = edges - height[v]
-                    verts, kind = _block([u] + vstack[vpos[v]:], e)
-                    found.append((verts[0], min(verts[1:]), verts, e, kind))
+                    ring = (u, *vstack[vpos[v]:])
                     del vstack[vpos[v]:]
+                    e = edges - height[v]
                     edges = height[v]
+                    b = len(ring)
+                    clique = 2 * e == b * (b - 1)
+                    cactus = cactus and e <= b
+                    block_graph = block_graph and clique
+                    sweep.append((len(blocks), ring))
+                    blocks.append(ring)
+                    counts.append(e)
+                    kinds.append(EDGE if b == 2 else CYCLE if e == b else CLIQUE if clique else OTHER)
+        sweep.append((None, (root,)))
 
-    found.sort()
     return BlockCutTree(
-        blocks=tuple(f[2] for f in found),
-        edge_counts=tuple(f[3] for f in found),
+        blocks=tuple(blocks),
+        edge_counts=tuple(counts),
         cut_vertices=frozenset(v for v in range(n) if below[v] > 0),
-        kinds=tuple(f[4] for f in found),
+        kinds=tuple(kinds),
+        sweep=tuple(sweep),
+        is_cactus=cactus,
+        is_block_graph=block_graph,
     )
 
 
@@ -300,54 +290,24 @@ def cycle_order(block_verts, block_edges) -> list[int]:
     return order
 
 
-def block_sweep(n: int, blocks, blocks_of):
-    """(block index or None, ring) for every block, in breadth-first order.
-
-    blocks[i] lists block i's vertices (a cycle in cyclic order) and
-    blocks_of[v] the indices of the blocks containing v.  Each component's
-    sweep yields (None, (r,)) for its smallest vertex r, then each block as
-    the sweep enters it at u, rotated to start at u.  Every vertex but a
-    root is a non-entry vertex of exactly one ring and the blocks hanging
-    off it come later, so the rings in reverse order run leaves first.
-    """
-    seen = [False] * n
-    done = [False] * len(blocks)
-    for root in range(n):
-        if seen[root]:
-            continue
-        yield None, (root,)
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            seen[u] = True
-            for i in blocks_of[u]:
-                if done[i]:
-                    continue
-                done[i] = True
-                block = blocks[i]
-                start = block.index(u)
-                ring = block[start:] + block[:start]
-                yield i, ring
-                queue.extend(ring[1:])
-
-
-def block_factor(n: int, rings, r: int, cycles=()) -> list[tuple[int, ...]] | None:
+def block_factor(n: int, sweep, r: int, cyclic: bool = False) -> list[tuple[int, ...]] | None:
     """A split of all n vertices into r-cliques inside blocks, or None if there is none.
 
-    rings is a block sweep (block_sweep), taken here in reverse, leaves
-    first.  Each ring covers its free (not yet covered) non-entry vertices,
-    which no later ring can reach.  It takes its entry vertex exactly when
-    their count leaves remainder r - 1, and fails if a sibling block has
-    taken it already; any other nonzero remainder fails, and so does a root
-    left free.  Both moves are forced, so the pass is exact.  A clique block
-    groups the vertices it covers in sorted runs of r.  A block listed in
-    cycles is a cactus cycle (r = 2): it pairs consecutive ring vertices,
-    arc by arc between the vertices it does not cover, and an odd arc fails.
-    Classes come in the order the pass makes them.  Linear time.
+    sweep is a leaves-first block sweep (BlockCutTree.sweep).  Each ring
+    covers its free (not yet covered) non-entry vertices, which no later
+    ring can reach.  It takes its entry vertex exactly when their count
+    leaves remainder r - 1, and fails if a sibling block has taken it
+    already; any other nonzero remainder fails, and so does a root left
+    free.  Both moves are forced, so the pass is exact.  A clique block
+    groups the vertices it covers in sorted runs of r.  When cyclic, the
+    graph is a cactus and r = 2: a ring of three or more vertices is a
+    cycle, which pairs consecutive ring vertices, arc by arc between the
+    vertices it does not cover, and an odd arc fails.  Classes come in the
+    order the pass makes them.  Linear time.
     """
     taken = [False] * n
     classes: list[tuple[int, ...]] = []
-    for i, ring in reversed(rings):
+    for i, ring in sweep:
         entry = ring[0]
         if i is None:
             if not taken[entry]:
@@ -361,7 +321,7 @@ def block_factor(n: int, rings, r: int, cycles=()) -> list[tuple[int, ...]] | No
             free.append(entry)
         elif len(free) % r:
             return None
-        if i in cycles:
+        if cyclic and len(ring) > 2:
             cover = [take] + [not taken[w] for w in ring[1:]]
             # walk once around, starting after a vertex the ring does not cover
             start = cover.index(False) + 1 if not all(cover) else 0
@@ -454,13 +414,13 @@ class GraphClasses:
     def is_tree(self) -> bool:
         return self.g.n >= 1 and self.g.m == self.g.n - 1 and len(self.components) == 1
 
-    @cached_property
+    @property
     def is_cactus(self) -> bool:
-        return self.bct.is_cactus()
+        return self.bct.is_cactus
 
-    @cached_property
+    @property
     def is_block_graph(self) -> bool:
-        return self.bct.is_block_graph()
+        return self.bct.is_block_graph
 
     @cached_property
     def regular_degree(self) -> int | None:

@@ -23,9 +23,10 @@ from .coloring import (
     Coloring,
     SolveOutcome,
     infeasibility_reason,
+    is_exact_coloring,
     lift_coloring,
 )
-from .errors import BadParameterError, BudgetExceededError, ExactColoringError
+from .errors import BadParameterError, BudgetExceededError, ExactColoringError, InvalidWitnessError
 from .graphs import Graph, GraphClasses, recognize
 from .oracle import brute_chi, brute_solve
 
@@ -141,7 +142,9 @@ def solve(
 
     Raises ExactColoringError when `algorithm` is unknown, d, k or budget is
     negative, or no route of `algorithm` applies.  A search that exhausts
-    `budget` gives an "unknown" report naming the route that gave up.
+    `budget` gives an "unknown" report naming the route that gave up.  Every
+    finite witness passes is_exact_coloring before it is reported; one that
+    fails raises InvalidWitnessError.
     """
     if algorithm not in ALGORITHMS:
         raise ExactColoringError(f"unknown algorithm {algorithm!r}")
@@ -162,6 +165,9 @@ def solve(
         answer = route.run(s, d, k, _Budget(budget))
     except BudgetExceededError as exc:
         answer = exc
+    if isinstance(answer, SolveOutcome) and answer.is_finite:
+        if not is_exact_coloring(g, answer.witness, d):
+            raise InvalidWitnessError(f"{route.name} returned a witness that is not exact at d = {d}")
     elapsed_ms = round((time.perf_counter() - start) * 1000, 3)
     reason = why if route.name == "precheck" else None
     return _report(g, d, k, answer, route.name, reason, elapsed_ms)

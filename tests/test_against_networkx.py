@@ -1,6 +1,7 @@
 """Differential tests against networkx, an independent implementation (test-only dependency)."""
 
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -53,7 +54,7 @@ def test_cactus_perfect_matching_exists_iff_maximum_matching_is_perfect(style):
         for seed in range(3):
             g = random_cactus(n, seed=seed, style=style)
             aux = cactus_preprocess(g)
-            pairs = block_factor(g.n, aux.rings, 2, range(len(aux.cycles)))
+            pairs = block_factor(g.n, aux.rings, 2, cyclic=True)
             maximum = nx.max_weight_matching(to_networkx(g), maxcardinality=True)
             assert (pairs is not None) == (2 * len(maximum) == g.n), (n, seed)
             if pairs is not None:
@@ -64,19 +65,27 @@ def test_cactus_perfect_matching_exists_iff_maximum_matching_is_perfect(style):
 
 
 def test_block_cut_tree_matches_biconnected_components():
+    kinds = set()
     for g in sample_graphs():
         bct, h = block_cut_tree(g), to_networkx(g)
         expect_blocks = sorted(tuple(sorted(c)) for c in nx.biconnected_components(h))
         expect_edges = sorted(
             tuple(sorted(tuple(sorted(e)) for e in es)) for es in nx.biconnected_component_edges(h)
         )
-        assert [tuple(sorted(b)) for b in bct.blocks] == expect_blocks, g.edges()
+        assert sorted(tuple(sorted(b)) for b in bct.blocks) == expect_blocks, g.edges()
         # a block's edges are the edges of g with both ends in it
         block_edges = [tuple(e for e in g.edges() if set(e) <= set(b)) for b in bct.blocks]
         assert sorted(block_edges) == expect_edges, g.edges()
         assert list(bct.edge_counts) == [len(es) for es in block_edges]
         assert sum(bct.edge_counts) == g.m
         assert bct.cut_vertices == set(nx.articulation_points(h)), g.edges()
+        # a cactus has only edges and cycles as blocks, a block graph only cliques
+        degrees = [Counter(v for e in es for v in e) for es in nx.biconnected_component_edges(h)]
+        cactus = all(len(deg) == 2 or set(deg.values()) == {2} for deg in degrees)
+        block = all(set(deg.values()) == {len(deg) - 1} for deg in degrees)
+        assert (bct.is_cactus, bct.is_block_graph) == (cactus, block), g.edges()
+        kinds.add((cactus, block))
+    assert kinds == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def test_is_chordal_matches_networkx():

@@ -160,7 +160,7 @@ class TestBlockgraphChi:
                 continue
             found += 1
             quotient = contract_partition(g, factor)
-            assert block_cut_tree(quotient).is_block_graph()
+            assert block_cut_tree(quotient).is_block_graph
         assert found >= 3
 
     @pytest.mark.parametrize("seed", range(15))

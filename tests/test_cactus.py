@@ -29,6 +29,16 @@ def cycle_adjacency(aux):
     return {(a, b) for cyc_list in aux.cliques for a, b in combinations(cyc_list, 2)}
 
 
+def by_cycle(aux, values):
+    """Per-cycle values keyed by each cycle's vertex set."""
+    return dict(zip(map(frozenset, aux.cycles), values))
+
+
+def petal(core_len, i):
+    """The private triangle on core vertex i of a core cycle with petals 2i + core_len, +1."""
+    return frozenset((i, core_len + 2 * i, core_len + 2 * i + 1))
+
+
 def triangle():
     return build_graph(3, [(0, 1), (1, 2), (2, 0)])
 
@@ -59,7 +69,9 @@ class TestPreprocess:
         aux = cactus_preprocess(sunlet_cactus)
         assert len(aux.cycles) == 5
         # the central C4 owns no cycle-simplicial vertex; the petals do
-        assert aux.has_w == (False, True, True, True, True)
+        assert by_cycle(aux, aux.has_w) == {
+            frozenset(range(4)): False, **{petal(4, i): True for i in range(4)}
+        }
 
 
 class TestLabel:
@@ -80,9 +92,12 @@ class TestLabel:
         assert res3.reason == NoReason.UNCOVERED_VERTEX
 
     def test_sunlet_center_is_polychromatic(self, sunlet_cactus):
-        res = cactus_label(cactus_preprocess(sunlet_cactus), 2)
+        aux = cactus_preprocess(sunlet_cactus)
+        res = cactus_label(aux, 2)
         assert res.ok
-        assert res.labels == ("P", "M", "M", "M", "M")
+        assert by_cycle(aux, res.labels) == {
+            frozenset(range(4)): "P", **{petal(4, i): "M" for i in range(4)}
+        }
 
     def test_odd_p_cycle_goes_away_with_more_colors(self):
         # triangle ring: C3 with a private triangle on each vertex
@@ -96,7 +111,9 @@ class TestLabel:
         assert strict.reason == NoReason.ODD_P_CYCLE
         relaxed = cactus_label(aux, 3)
         assert relaxed.ok
-        assert relaxed.labels == ("P", "M", "M", "M")
+        assert by_cycle(aux, relaxed.labels) == {
+            frozenset(range(3)): "P", **{petal(3, i): "M" for i in range(3)}
+        }
 
     def test_all_p_clique_rejection(self):
         # vertex 0 sits in two C4s whose other corners all carry private

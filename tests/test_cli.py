@@ -1,9 +1,11 @@
+import gc
 import json
 from pathlib import Path
 
 import jsonschema
 import pytest
 
+import exactcolor as xc
 from exactcolor import (
     Coloring,
     build_graph,
@@ -353,3 +355,42 @@ class TestReportSchema:
             g = load_graph(str(p))
             witness = Coloring(rep["witness"]["k"], tuple(rep["witness"]["assign"]))
             assert is_exact_coloring(g, witness, d)
+
+
+class TestCollector:
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_main_restores_the_collector_state(self, capsys, tmp_path, cycle8_file, enabled):
+        was = gc.isenabled()
+        try:
+            (gc.enable if enabled else gc.disable)()
+            assert run(capsys, "solve", "--d", "1", "--chi", cycle8_file)[0] == 0
+            assert gc.isenabled() is enabled
+            code, _, err = run(capsys, "solve", "--d", "1", "--chi", str(tmp_path / "missing.txt"))
+            assert code == 1 and err.startswith("error:")
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+
+    def test_a_solve_leaves_no_garbage_that_grows_with_the_graph(self, capsys, tmp_path):
+        def garbage(n):
+            p = tmp_path / f"cactus{n}.txt"
+            p.write_text(write_graph(xc.random_cactus(n, seed=1)))
+            gc.collect()
+            assert run(capsys, "solve", "--d", "2", "--chi", str(p))[0] == 0
+            return gc.collect()
+
+        small = garbage(4)
+        assert garbage(10**4) <= small
+
+
+def test_a_corrupted_witness_is_an_error_not_an_answer(capsys, monkeypatch, cycle8_file):
+    honest = xc.solver.chi_cycle
+
+    def corrupted(n, d):
+        out = honest(n, d)
+        assign = (1 - out.witness.assign[0],) + out.witness.assign[1:]
+        return xc.SolveOutcome.finite(out.chi, Coloring(out.witness.k, assign))
+
+    monkeypatch.setattr(xc.solver, "chi_cycle", corrupted)
+    code, out, err = run(capsys, "solve", "--d", "1", "--chi", cycle8_file)
+    assert (code, out) == (1, "") and err.startswith("error: closedform:cycle returned a witness")

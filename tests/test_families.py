@@ -117,14 +117,14 @@ class TestRandomFamilies:
         g = random_cactus(13, seed=seed, style=style)
         assert g.n == 13
         assert is_connected(g)
-        assert block_cut_tree(g).is_cactus()
+        assert block_cut_tree(g).is_cactus
 
     @pytest.mark.parametrize("seed", range(6))
     def test_block_graph_is_block_graph(self, seed):
         g = random_block_graph(13, seed=seed)
         assert g.n == 13
         assert is_connected(g)
-        assert block_cut_tree(g).is_block_graph()
+        assert block_cut_tree(g).is_block_graph
         assert is_chordal(g)
 
     def test_deterministic(self):

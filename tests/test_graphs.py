@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 from hypothesis import given, settings, strategies as st
 import pytest
@@ -24,7 +25,7 @@ from exactcolor import (
     recognize,
     tightness_gadget,
 )
-from exactcolor.graphs import block_factor, block_sweep, cycle_order
+from exactcolor.graphs import block_factor
 from conftest import perfect_matchings_filter
 
 
@@ -96,7 +97,7 @@ class TestBlockCutTree:
     def test_triangle_is_cycle_and_clique(self):
         bct = block_cut_tree(complete(3))
         assert bct.kinds[0] == BlockKind.CYCLE
-        assert bct.is_cactus() and bct.is_block_graph()
+        assert bct.is_cactus and bct.is_block_graph
 
     @given(graphs())
     @settings(max_examples=60)
@@ -121,21 +122,37 @@ class TestBlockCutTree:
         random.Random(seed).shuffle(label)
         g = build_graph(n, [(label[u], label[v]) for u, v in random_cactus(n, seed, style).edges()])
         bct = block_cut_tree(g)
+        dist = bfs_distances(g, 0)
         for verts, kind in zip(bct.blocks, bct.kinds):
+            # every ring starts at its entry vertex, the one nearest the root
+            assert all(dist[verts[0]] < dist[w] for w in verts[1:])
             if kind != BlockKind.CYCLE:
-                assert list(verts) == sorted(verts)
+                assert len(verts) == 2
                 continue
-            assert verts[0] == min(verts)
-            assert all(g.has_edge(a, b) for a, b in zip(verts, verts[1:] + verts[:1]))
-            assert list(verts) == cycle_order(verts, block_edges(g, verts))
+            # a closed walk over exactly the block's edges, from the entry vertex
+            walk = {frozenset(p) for p in zip(verts, verts[1:] + verts[:1])}
+            assert len(walk) == len(verts) == len(set(verts))
+            assert walk == {frozenset(e) for e in block_edges(g, verts)}
 
     @given(graphs())
     @settings(max_examples=60)
     def test_cut_vertices_lie_in_two_blocks(self, g):
         bct = block_cut_tree(g)
-        membership = bct.blocks_of_vertex(g.n)
+        membership = Counter(v for verts in bct.blocks for v in verts)
         for v in range(g.n):
-            assert (len(membership[v]) >= 2) == (v in bct.cut_vertices)
+            assert (membership[v] >= 2) == (v in bct.cut_vertices)
+
+
+def bfs_distances(g, root):
+    """Edge distance from root to every vertex of its component."""
+    dist = {root: 0}
+    queue = [root]
+    for u in queue:
+        for w in g.adj[u]:
+            if w not in dist:
+                dist[w] = dist[u] + 1
+                queue.append(w)
+    return dist
 
 
 class TestBlockSweep:
@@ -143,7 +160,7 @@ class TestBlockSweep:
     @settings(max_examples=80)
     def test_rings_cover_every_block_once_leaves_last(self, g):
         bct = block_cut_tree(g)
-        sweep = list(block_sweep(g.n, bct.blocks, bct.blocks_of_vertex(g.n)))
+        sweep = bct.sweep
         roots = [ring[0] for i, ring in sweep if i is None]
         assert roots == [comp[0] for comp in connected_components(g)]
         assert sorted(i for i, _ in sweep if i is not None) == list(range(len(bct.blocks)))
@@ -151,13 +168,26 @@ class TestBlockSweep:
         non_entry = sorted(v for i, ring in sweep if i is not None for v in ring[1:])
         assert non_entry == sorted(set(range(g.n)) - set(roots))
         reached = set()
-        for i, ring in sweep:
+        for i, ring in reversed(sweep):
             if i is not None:
-                block = bct.blocks[i]
-                start = block.index(ring[0])
-                assert ring == block[start:] + block[:start]
-                assert ring[0] in reached  # entered from a vertex the sweep has reached
+                assert ring == bct.blocks[i]
+                assert ring[0] in reached  # entered from a vertex the reversed sweep has reached
             reached.update(ring)
+
+    @given(graphs(max_n=12))
+    @settings(max_examples=80)
+    def test_sweep_runs_leaves_first(self, g):
+        # a ring entered at w comes before the ring that has w as a non-entry
+        # vertex, or before w's own root entry when w is a root
+        sweep = block_cut_tree(g).sweep
+        home = {}
+        for pos, (i, ring) in enumerate(sweep):
+            for w in ring if i is None else ring[1:]:
+                home[w] = pos
+        assert sorted(home) == list(range(g.n))
+        for pos, (i, ring) in enumerate(sweep):
+            if i is not None:
+                assert pos < home[ring[0]]
 
 
 class TestBlockFactor:
@@ -165,21 +195,36 @@ class TestBlockFactor:
         # C6 with pendants on 1 and 3: the cycle must cover 0, 2, 4 and 5, an even
         # count, but 2 sits alone between 1 and 3, so no perfect matching exists
         g = build_graph(8, [(i, (i + 1) % 6) for i in range(6)] + [(1, 6), (3, 7)])
-        bct = block_cut_tree(g)
-        rings = list(block_sweep(g.n, bct.blocks, bct.blocks_of_vertex(g.n)))
-        cycles = [i for i, kind in enumerate(bct.kinds) if kind == BlockKind.CYCLE]
-        assert block_factor(g.n, rings, 2, cycles) is None
+        sweep = block_cut_tree(g).sweep
+        assert block_factor(g.n, sweep, 2, cyclic=True) is None
         # the count rule alone accepts it, with a pair that is no edge
-        classes = block_factor(g.n, rings, 2)
+        classes = block_factor(g.n, sweep, 2)
         assert classes is not None and not all(g.has_edge(u, v) for u, v in classes)
         assert perfect_matchings(g) == [] and cactus_chi1(g).is_infeasible
 
+    def test_cactus_pairs_are_edges_whatever_the_numbering(self):
+        # the sweep meets each cycle at any vertex and in either direction
+        found = 0
+        for seed in range(200):
+            g = random_cactus(20 + seed % 60, seed, ["mixed", "bridged", "shared", "petaled"][seed % 4])
+            perm = list(range(g.n))
+            random.Random(seed).shuffle(perm)
+            g = build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+            pairs = block_factor(g.n, block_cut_tree(g).sweep, 2, cyclic=True)
+            if pairs is not None:
+                found += 1
+                assert sorted(v for p in pairs for v in p) == list(range(g.n))
+                assert all(g.has_edge(u, v) for u, v in pairs)
+        assert found >= 10
+
     def test_cycle_pairs_follow_the_ring(self):
         g = cycle(6)
-        bct = block_cut_tree(g)
-        rings = list(block_sweep(g.n, bct.blocks, bct.blocks_of_vertex(g.n)))
-        assert block_factor(g.n, rings, 2, [0]) == [(0, 1), (2, 3), (4, 5)]
-        assert block_factor(g.n, rings[:1], 2) is None  # a root no block took
+        sweep = block_cut_tree(g).sweep
+        assert block_factor(g.n, sweep, 2, cyclic=True) == [(0, 1), (2, 3), (4, 5)]
+        # the C4 0-2-1-3 pairs along the cycle, not in sorted runs (0, 1), (2, 3)
+        c4 = build_graph(4, [(0, 2), (2, 1), (1, 3), (3, 0)])
+        assert block_factor(4, block_cut_tree(c4).sweep, 2, cyclic=True) == [(0, 2), (1, 3)]
+        assert block_factor(g.n, sweep[-1:], 2) is None  # a root no block took
 
 
 class TestRecognize:

@@ -162,3 +162,48 @@ def test_long_odd_cycle_at_d0_needs_no_recursion():
     rep = xc.solve(g, 0)
     assert (rep.verdict, rep.chi) == ("yes", 3)
     assert xc.is_exact_coloring(g, rep.witness, 0)
+
+
+def sunlet():
+    """C4 with a private triangle on each cycle vertex: chi_2 = 2."""
+    edges = [(i, (i + 1) % 4) for i in range(4)]
+    for i in range(4):
+        edges += [(i, 4 + 2 * i), (i, 5 + 2 * i), (4 + 2 * i, 5 + 2 * i)]
+    return xc.build_graph(12, edges)
+
+
+def k4_with_pendants():
+    """K4 with a pendant on every vertex: a block graph, not a cactus, chi_1 = 4."""
+    return xc.build_graph(8, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+                          + [(v, v + 4) for v in range(4)])
+
+
+@pytest.mark.parametrize("solver,g,d,algorithm", [
+    ("cactus_chi2", sunlet(), 2, "cactus"),
+    ("cactus_chi1", xc.tightness_gadget(), 1, "cactus"),
+    ("blockgraph_chi", k4_with_pendants(), 1, "blockgraph"),
+    ("chi_tree", xc.path(6), 1, "closedform:tree"),
+    ("brute_chi", xc.petersen(), 1, "brute"),
+])
+def test_a_witness_with_one_vertex_recolored_is_refused(monkeypatch, solver, g, d, algorithm):
+    honest = getattr(xc.solver, solver)
+    rep = xc.solve(g, d)
+    assert rep.algorithm == algorithm and xc.is_exact_coloring(g, rep.witness, d)
+
+    def recolored(*args, **kwargs):
+        out = honest(*args, **kwargs)
+        w = out.witness
+        assign = (1 if w.assign[0] == 0 else 0,) + w.assign[1:]
+        return xc.SolveOutcome.finite(out.chi, xc.Coloring(max(w.k, 2), assign))
+
+    monkeypatch.setattr(xc.solver, solver, recolored)
+    with pytest.raises(xc.InvalidWitnessError, match=f"^{algorithm} returned a witness"):
+        xc.solve(g, d)
+
+
+@pytest.mark.parametrize("algorithm", ["cactus", "blockgraph"])
+def test_long_path_needs_no_recursion(algorithm):
+    # one depth-first search 10^5 vertices deep builds the block-cut tree
+    g = xc.path(10**5)
+    rep = xc.solve(g, 1, algorithm=algorithm)
+    assert (rep.verdict, rep.chi) == ("yes", 2)
