@@ -1,32 +1,27 @@
-"""Exact (k, d)-coloring of block graphs in near-linear time.
+"""Exact (k, d)-coloring of block graphs in linear time.
 
 In a block graph every color class of an exact (k, d)-coloring induces
 vertex-disjoint copies of K_{d+1}: any d-regular connected piece is a clique
 here, and cliques live inside single blocks.  So the solver finds a
-K_{d+1}-factor (a partition of V into (d+1)-cliques), contracts it, and
-properly colors the quotient, which is again a block graph and therefore
-chordal.
+K_{d+1}-factor (a partition of V into (d+1)-cliques) and properly colors
+its quotient, one vertex per class.
 
-The factor is found by graphs.block_factor, the one leaves-first pass that
-the cactus and tree routes share, over the block sweep the depth-first
-search of graphs.block_cut_tree records as it closes each block; its moves
-are forced, so it finds a factor whenever one exists.  Whether chi of the
-quotient is independent of which factor is found is guarded by tests that
-contract every factor of small block graphs.
+graphs.block_factor finds the factor in one leaves-first pass over the
+block sweep (graphs.block_cut_tree); its moves are forced, so it finds one
+whenever one exists.  graphs.color_factor colors the classes off the same
+sweep, root first, without building the quotient.  The classes touching
+one block are pairwise adjacent in the quotient, and every quotient edge
+joins two classes touching one block, so chi of the quotient is the most
+classes touching one block, and first fit block by block uses no more.
+Tests that contract every factor of small block graphs guard that chi of
+the quotient does not depend on the factor found.
 """
 
 from __future__ import annotations
 
-from .chromatic import chromatic_number
-from .coloring import Coloring, INFEASIBLE, SolveOutcome, lift_coloring
+from .coloring import Coloring, INFEASIBLE, SolveOutcome
 from .errors import BadParameterError, NotABlockGraphError
-from .graphs import (
-    BlockCutTree,
-    Graph,
-    block_cut_tree,
-    block_factor,
-    contract_partition,
-)
+from .graphs import BlockCutTree, Graph, block_cut_tree, block_factor, color_factor
 
 
 def _guard_block_graph(g: Graph, bct: BlockCutTree | None = None) -> BlockCutTree:
@@ -66,15 +61,13 @@ def blockgraph_chi(
 ) -> SolveOutcome:
     """Exact d-defective chromatic number of a block graph, with witness.
 
-    Infeasible when no K_{d+1}-factor exists; otherwise chi of the
-    contracted quotient (computed by the chordal fast path), lifted by
-    giving every factor class its quotient color.
+    Infeasible when no K_{d+1}-factor exists, else chi of its quotient.
     """
     if d < 1:
         raise BadParameterError("blockgraph solver covers d >= 1")
-    factor = clique_factor(g, d + 1, bct)
+    bct = _guard_block_graph(g, bct)
+    factor = block_factor(g.n, bct.sweep, d + 1)
     if factor is None:
         return INFEASIBLE
-    quotient = contract_partition(g, factor)
-    q_chi, q_col = chromatic_number(quotient)
-    return SolveOutcome.finite(q_chi, lift_coloring(g.n, factor, q_col.assign, q_chi))
+    k, color = color_factor(g.n, bct.sweep, factor)
+    return SolveOutcome.finite(k, Coloring(k, tuple(color)))

@@ -23,7 +23,11 @@ For defect 1 the value is min over perfect matchings M of chi(G/M), which
 lies in {1, 2, 3} for cacti.  graphs.block_factor runs the same sweep
 and finds one perfect matching in linear time or shows there is none, and
 every perfect matching of a cactus gives the same answer, so no
-enumeration is needed.
+enumeration is needed.  graphs.color_factor colors the pairs off the
+sweep without building G/M.  Each edge of G/M lies in the image of one
+block, a cycle's image is a cycle of its runs of one pair, and each run
+takes the smallest color its neighbors there lack: two colors unless an
+image is an odd cycle of three or more runs, which needs three.
 """
 
 from __future__ import annotations
@@ -32,16 +36,14 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
-from .chromatic import greedy_coloring, smallest_last_order
-from .coloring import Coloring, INFEASIBLE, SolveOutcome, lift_coloring, monochromatic
+from .coloring import Coloring, INFEASIBLE, SolveOutcome, monochromatic
 from .errors import BadParameterError, IncompleteLabelingError, NotACactusError
 from .graphs import (
     BlockCutTree,
     Graph,
     block_cut_tree,
     block_factor,
-    contract_partition,
-    is_bipartite,
+    color_factor,
     is_d_regular,
 )
 
@@ -221,23 +223,14 @@ def cactus_chi2(g: Graph, bct: BlockCutTree | None = None) -> SolveOutcome:
 def cactus_chi1(g: Graph, bct: BlockCutTree | None = None) -> SolveOutcome:
     """Exact 1-defective chromatic number of a cactus, from one perfect matching.
 
-    1 when g is 1-regular; infinite without a perfect matching M; else 2 if
-    G/M is bipartite and 3 if not (G/M is a cactus, so smallest-last first
-    fit colors it with three).  Any M gives the same answer: a vertex of a
-    cycle C is matched inside C exactly when the pieces hanging off it have
-    even order, so the image of C in G/M has the same length for every M.
+    1 when g is 1-regular; infinite without a perfect matching M; else
+    chi(G/M), 2 or 3.  Any M gives the same answer: a vertex of a cycle C is
+    matched inside C exactly when the pieces hanging off it have even
+    order, so the image of C in G/M has the same length for every M.
     """
-    if g.n == 0:
-        return SolveOutcome.finite(0, Coloring(0, ()))
-    if is_d_regular(g, 1):
-        return SolveOutcome.finite(1, monochromatic(g.n))
     aux = cactus_preprocess(g, bct)
     pairs = block_factor(g.n, aux.rings, 2, cyclic=True)
     if pairs is None:
         return INFEASIBLE
-    quotient = contract_partition(g, pairs)
-    bip, side = is_bipartite(quotient)
-    if bip:
-        return SolveOutcome.finite(2, lift_coloring(g.n, pairs, side, 2))
-    q_col = greedy_coloring(quotient, list(reversed(smallest_last_order(quotient))))
-    return SolveOutcome.finite(3, lift_coloring(g.n, pairs, q_col, 3))
+    k, color = color_factor(g.n, aux.rings, pairs, cyclic=True)
+    return SolveOutcome.finite(k, Coloring(k, tuple(color)))

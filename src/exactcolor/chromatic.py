@@ -8,8 +8,8 @@ node budget that raises instead of guessing.  Each budget parameter takes a
 node count or a `_Budget` shared with the caller, so one solve can charge
 every search it runs to a single budget.
 
-Intended for quotient graphs of moderate size (tens of vertices) and for
-chordal graphs of any size.
+Intended for graphs of moderate size (tens of vertices) and for chordal
+graphs of any size; quotients by a block factor use graphs.color_factor.
 """
 
 from __future__ import annotations
@@ -53,26 +53,6 @@ def greedy_coloring(g: Graph, order: list[int] | None = None) -> list[int]:
             c += 1
         color[v] = c
     return color
-
-
-def smallest_last_order(g: Graph) -> list[int]:
-    """Repeatedly remove a vertex of least remaining degree (ties: lowest index)."""
-    deg = [len(a) for a in g.adj]
-    removed = [False] * g.n
-    heap = [(deg[v], v) for v in range(g.n)]
-    heapq.heapify(heap)
-    order = []
-    while heap:
-        d0, v = heapq.heappop(heap)
-        if removed[v] or d0 != deg[v]:
-            continue
-        removed[v] = True
-        order.append(v)
-        for w in g.adj[v]:
-            if not removed[w]:
-                deg[w] -= 1
-                heapq.heappush(heap, (deg[w], w))
-    return order
 
 
 def chordal_greedy(g: Graph) -> tuple[list[int], int] | None:

@@ -12,11 +12,10 @@ from __future__ import annotations
 import math
 from collections import deque
 
-from .chromatic import DEFAULT_BUDGET, _Budget, chromatic_number, max_clique
-from .coloring import Coloring, INFEASIBLE, SolveOutcome, lift_coloring, monochromatic
+from .chromatic import DEFAULT_BUDGET, _Budget, max_clique
+from .coloring import Coloring, INFEASIBLE, SolveOutcome, monochromatic
 from .errors import BadParameterError, NotATreeError
-from .families import wheel
-from .graphs import Graph, block_factor, contract_partition, is_d_regular
+from .graphs import Graph, block_factor, color_factor, is_d_regular
 
 
 def chi_cycle(n: int, d: int) -> SolveOutcome:
@@ -61,13 +60,10 @@ def chi_wheel(n: int, d: int) -> SolveOutcome:
         return INFEASIBLE
     if n == 4:
         return SolveOutcome.finite(2, Coloring(2, (0, 0, 1, 1)))
-    # match the hub with rim vertex 0, pair the remaining rim path, and
-    # properly color the contracted fan
-    g = wheel(n)
-    parts = [[n - 1, 0]] + [[i, i + 1] for i in range(1, n - 2, 2)]
-    quotient = contract_partition(g, parts)
-    q_chi, q_col = chromatic_number(quotient)
-    return SolveOutcome.finite(q_chi, lift_coloring(n, parts, q_col.assign, q_chi))
+    # the hub and rim vertex 0 share color 0; the rim path 1..n-2 splits into
+    # consecutive pairs that alternate colors 1 and 2
+    assign = (0,) + tuple(1 + ((i - 1) // 2) % 2 for i in range(1, n - 1)) + (0,)
+    return SolveOutcome.finite(3, Coloring(3, assign))
 
 
 def _bfs_from_zero(g: Graph) -> tuple[list[int], list[int]]:
@@ -91,32 +87,25 @@ def _bfs_from_zero(g: Graph) -> tuple[list[int], list[int]]:
 def chi_tree(g: Graph, d: int) -> SolveOutcome:
     """Exact d-defective chromatic number of a tree.
 
-    For d = 1 the value is chi(T/M) for the unique perfect matching M when
-    one exists (1 for K2, else 2), and infinite otherwise.  Any d >= 2 is
-    infeasible because a non-trivial tree has a leaf.
+    d = 0 gives 2 (1 on one vertex); d = 1 gives chi(T/M) for the unique
+    perfect matching M (1 for K2, else 2), or infinite without one; d >= 2
+    is infeasible, as a tree has a leaf.  graphs.color_factor colors the
+    vertices or the pairs.
     """
     order, parent = _bfs_from_zero(g) if g.n else ([], [])
     if not (g.n >= 1 and g.m == g.n - 1 and len(order) == g.n):
         raise NotATreeError("input is not a tree")
     if d < 0:
         raise BadParameterError("defect must be nonnegative")
-    if g.n == 1:
-        return SolveOutcome.finite(1, monochromatic(1)) if d == 0 else INFEASIBLE
-    if d == 0:
-        chi, col = chromatic_number(g)
-        return SolveOutcome.finite(chi, col)
     if d >= 2:
         return INFEASIBLE
-    # the unique perfect matching; each edge (parent[v], v) is a block, and the
-    # reversed BFS order runs leaves first
+    # each edge (parent[v], v) is a block, and the reversed BFS order runs leaves first
     sweep = [(v, (parent[v], v)) for v in reversed(order[1:])] + [(None, (0,))]
-    pairs = block_factor(g.n, sweep, 2)
-    if pairs is None:
+    classes = [(v,) for v in range(g.n)] if d == 0 else block_factor(g.n, sweep, 2)
+    if classes is None:
         return INFEASIBLE
-    pairs.sort()
-    quotient = contract_partition(g, pairs)
-    q_chi, q_col = chromatic_number(quotient)
-    return SolveOutcome.finite(q_chi, lift_coloring(g.n, pairs, q_col.assign, q_chi))
+    k, color = color_factor(g.n, sweep, classes)
+    return SolveOutcome.finite(k, Coloring(k, tuple(color)))
 
 
 def chi_complete(n: int, d: int) -> SolveOutcome:

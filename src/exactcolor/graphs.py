@@ -343,6 +343,49 @@ def block_factor(n: int, sweep, r: int, cyclic: bool = False) -> list[tuple[int,
     return classes
 
 
+def color_factor(n: int, sweep, classes, cyclic: bool = False) -> tuple[int, list[int]]:
+    """An optimal proper coloring of the quotient by a block factor, as (k, color per vertex).
+
+    classes are block_factor's over the same sweep.  The rings are read in
+    reverse, root first: each ring's entry vertex has a colored class, and
+    every other class that touches the ring is new here.  A clique ring (or
+    a root) gives each new class the smallest color its ring lacks.  When
+    cyclic, a ring of three or more vertices is a cycle: each new run of
+    one class along it takes the smallest color that differs from the runs
+    before and after it, of which only the entry's can be colored.  Why k
+    is optimal: see the blockgraph and cactus modules.  Linear time.
+    """
+    cls = [0] * n
+    for i, c in enumerate(classes):
+        for v in c:
+            cls[v] = i
+    ccolor = [-1] * len(classes)
+    for _, ring in reversed(sweep):
+        if cyclic and len(ring) > 2:
+            b = len(ring)
+            for j in range(1, b):
+                x = cls[ring[j]]
+                if ccolor[x] == -1:  # a new run, of one vertex or two
+                    step = 2 if cls[ring[(j + 1) % b]] == x else 1
+                    banned = (ccolor[cls[ring[j - 1]]], ccolor[cls[ring[(j + step) % b]]])
+                    c = 0
+                    while c in banned:
+                        c += 1
+                    ccolor[x] = c
+        else:  # a clique, or a root: a ring of one vertex
+            used = set()
+            c = 0
+            for w in ring:
+                x = cls[w]
+                if ccolor[x] == -1:
+                    while c in used:
+                        c += 1
+                    ccolor[x] = c
+                used.add(ccolor[x])
+    color = [ccolor[x] for x in cls]
+    return max(color, default=-1) + 1, color
+
+
 # ---------------------------------------------------------------------------
 # Class recognizers
 # ---------------------------------------------------------------------------

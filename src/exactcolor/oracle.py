@@ -15,9 +15,8 @@ number (the merged parts are non-adjacent, so any proper coloring of the
 coarser quotient lifts), hence the minimum over connected-part partitions
 equals the minimum over all partitions into d-regular induced subgraphs.
 
-Unused colors are allowed throughout: an exact coloring needs at most
-floor(n / (d + 1)) nonempty classes, which also supplies the infeasibility
-certificate in ``brute_chi``.
+Unused colors are allowed throughout; ``brute_chi`` bounds how many an
+exact coloring ever needs, which certifies infeasibility.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from .coloring import (
     solve_by_component,
 )
 from .errors import BadParameterError
-from .graphs import Graph, connected_components, contract_partition
+from .graphs import Graph, block_cut_tree, connected_components, contract_partition
 
 
 def _solve_component(g: Graph, k: int, d: int, b: _Budget) -> list[int] | None:
@@ -136,17 +135,19 @@ def brute_solve(
     return solve_by_component(g, comps, solve_one)
 
 
-def _kcap(n: int, d: int) -> int:
-    # every nonempty class has >= d + 1 vertices, so at most n // (d + 1) classes
-    return max(1, n // (d + 1))
+def _kcap(g: Graph, d: int) -> int:
+    # see brute_chi; a component with no block is one vertex
+    return max(1, min(g.n // (d + 1), max(map(len, block_cut_tree(g).blocks), default=1)))
 
 
 def brute_chi(g: Graph, d: int, budget: int | _Budget = DEFAULT_BUDGET) -> SolveOutcome:
     """Smallest k admitting an exact (k, d)-coloring, or the infeasible outcome.
 
-    If no coloring exists with floor(n / (d+1)) classes then none exists at
-    all (nonempty classes have at least d + 1 vertices and the question is
-    monotone in k), which certifies infeasibility.
+    A component with an exact coloring has one with min(n // (d+1), B)
+    colors, B its largest block: classes have d + 1 or more vertices, and
+    as same-colored counts add up over blocks, root first along the
+    block-cut tree each block's colors can be renamed injectively into
+    [0, B).  Failing there certifies infeasibility.
     """
     if d < 0:
         raise BadParameterError("defect must be nonnegative")
@@ -156,7 +157,7 @@ def brute_chi(g: Graph, d: int, budget: int | _Budget = DEFAULT_BUDGET) -> Solve
     b = _Budget.of(budget)
 
     def smallest_k(h: Graph):
-        cap = _kcap(h.n, d)
+        cap = _kcap(h, d)
         for k in range(min(clique_lower_bound(h, d, b), cap), cap + 1):
             color = _solve_component(h, k, d, b)
             if color is not None:

@@ -204,6 +204,79 @@ def planted_cactus(n: int, seed: int, perturb: str | None = None):
     return build_graph(cur, edges), factor
 
 
+def planted_block_graph(classes: int, r: int, seed: int):
+    """A connected block graph with a planted K_r-factor of at least `classes` classes.
+
+    Returns (g, factor).  The first block is a clique of one to three
+    classes.  Each step picks an existing vertex and hangs a new clique
+    block off it, whose fresh vertices are one or two whole classes, or
+    one to four vertices that each get a class of their own in a pendant
+    block (r vertices: the vertex and r - 1 fresh ones).
+    """
+    rng = random.Random(seed)
+    edges: list[tuple[int, int]] = []
+    factor: list[tuple[int, ...]] = []
+
+    def clique(verts):
+        edges.extend(combinations(verts, 2))
+
+    def fresh_classes(start, count):
+        factor.extend(tuple(range(start + i * r, start + (i + 1) * r)) for i in range(count))
+        return list(range(start, start + count * r))
+
+    cur = rng.randint(1, 3) * r
+    clique(fresh_classes(0, cur // r))
+    while len(factor) < classes:
+        anchor = rng.randrange(cur)
+        if rng.random() < 0.5:
+            block = fresh_classes(cur, rng.randint(1, 2))
+            cur += len(block)
+        else:
+            block = list(range(cur, cur + rng.randint(1, 4)))
+            cur += len(block)
+            for v in block:
+                factor.append((v, *range(cur, cur + r - 1)))
+                clique(factor[-1])
+                cur += r - 1
+        clique([anchor] + block)
+    return build_graph(cur, edges), factor
+
+
+def planted_matching_cactus(pairs: int, seed: int):
+    """A connected cactus with a planted perfect matching of at least `pairs` pairs.
+
+    Returns (g, matching).  It starts from one matched edge.  Each step
+    picks an existing vertex and either bridges it to a new matched pair,
+    or runs a cycle through it and an even number of new vertices; each
+    new cycle vertex is matched to the next one along the cycle or to a
+    new pendant vertex.
+    """
+    rng = random.Random(seed)
+    edges = [(0, 1)]
+    matching = [(0, 1)]
+    cur = 2
+    while len(matching) < pairs:
+        anchor = rng.randrange(cur)
+        if rng.random() < 0.4:
+            edges += [(anchor, cur + rng.randrange(2)), (cur, cur + 1)]
+            matching.append((cur, cur + 1))
+            cur += 2
+            continue
+        ring = [anchor] + list(range(cur, cur + 2 * rng.randint(1, 3)))
+        edges += [(ring[i], ring[i - 1]) for i in range(len(ring))]
+        cur = ring[-1] + 1
+        todo = ring[1:]
+        while todo:
+            v = todo.pop(0)
+            if todo and rng.random() < 0.6:
+                matching.append((v, todo.pop(0)))
+            else:
+                edges.append((v, cur))
+                matching.append((v, cur))
+                cur += 1
+    return build_graph(cur, edges), matching
+
+
 @pytest.fixture(scope="session")
 def bowtie():
     return build_graph(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)])

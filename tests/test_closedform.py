@@ -71,6 +71,12 @@ class TestChiWheel:
         with pytest.raises(BadParameterError):
             chi_wheel(6, 2)
 
+    def test_even_wheels_pair_the_rim_in_two_alternating_colors(self):
+        for n in range(6, 400, 2):
+            out = chi_wheel(n, 1)
+            assert out.chi == out.witness.k == 3
+            assert is_exact_coloring(wheel(n), out.witness, 1), n
+
     @pytest.mark.parametrize("n", range(4, 13))
     def test_agrees_with_brute(self, n):
         a, b = chi_wheel(n, 1), brute_chi(wheel(n), 1)
