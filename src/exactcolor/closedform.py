@@ -10,12 +10,11 @@ defects are left to the brute-force oracle.
 from __future__ import annotations
 
 import math
-from collections import deque
 
 from .chromatic import DEFAULT_BUDGET, _Budget, max_clique
 from .coloring import Coloring, INFEASIBLE, SolveOutcome, monochromatic
 from .errors import BadParameterError, NotATreeError
-from .graphs import Graph, block_factor, color_factor, is_d_regular
+from .graphs import BlockCutTree, Graph, block_cut_tree, block_factor, color_factor, is_d_regular
 
 
 def chi_cycle(n: int, d: int) -> SolveOutcome:
@@ -66,45 +65,25 @@ def chi_wheel(n: int, d: int) -> SolveOutcome:
     return SolveOutcome.finite(3, Coloring(3, assign))
 
 
-def _bfs_from_zero(g: Graph) -> tuple[list[int], list[int]]:
-    """The vertices reached from vertex 0 in breadth-first order, and their parents."""
-    parent = [-1] * g.n
-    order = []
-    seen = [False] * g.n
-    seen[0] = True
-    queue = deque([0])
-    while queue:
-        u = queue.popleft()
-        order.append(u)
-        for w in g.adj[u]:
-            if not seen[w]:
-                seen[w] = True
-                parent[w] = u
-                queue.append(w)
-    return order, parent
-
-
-def chi_tree(g: Graph, d: int) -> SolveOutcome:
-    """Exact d-defective chromatic number of a tree.
+def chi_tree(g: Graph, d: int, bct: BlockCutTree | None = None) -> SolveOutcome:
+    """Exact d-defective chromatic number of a tree, given its block-cut tree if known.
 
     d = 0 gives 2 (1 on one vertex); d = 1 gives chi(T/M) for the unique
     perfect matching M (1 for K2, else 2), or infinite without one; d >= 2
     is infeasible, as a tree has a leaf.  graphs.color_factor colors the
-    vertices or the pairs.
+    vertices or the pairs off the block sweep, whose blocks are the edges.
     """
-    order, parent = _bfs_from_zero(g) if g.n else ([], [])
-    if not (g.n >= 1 and g.m == g.n - 1 and len(order) == g.n):
+    bct = bct or block_cut_tree(g)
+    if not (g.n >= 1 and g.m == g.n - 1 and len(bct.component_orders) == 1):
         raise NotATreeError("input is not a tree")
     if d < 0:
         raise BadParameterError("defect must be nonnegative")
     if d >= 2:
         return INFEASIBLE
-    # each edge (parent[v], v) is a block, and the reversed BFS order runs leaves first
-    sweep = [(v, (parent[v], v)) for v in reversed(order[1:])] + [(None, (0,))]
-    classes = [(v,) for v in range(g.n)] if d == 0 else block_factor(g.n, sweep, 2)
+    classes = [(v,) for v in range(g.n)] if d == 0 else block_factor(g.n, bct.sweep, 2)
     if classes is None:
         return INFEASIBLE
-    k, color = color_factor(g.n, sweep, classes)
+    k, color = color_factor(g.n, bct.sweep, classes)
     return SolveOutcome.finite(k, Coloring(k, tuple(color)))
 
 

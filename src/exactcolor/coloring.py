@@ -22,7 +22,7 @@ class Coloring:
     assign: tuple[int, ...]
 
     def __post_init__(self):
-        if any(not 0 <= c < self.k for c in self.assign):
+        if self.assign and not (0 <= min(self.assign) and max(self.assign) < self.k):
             raise OutOfRangeError("color index outside [0, k)")
 
     def classes(self) -> list[list[int]]:
@@ -121,7 +121,11 @@ def is_exact_coloring(g: Graph, c: Coloring, d: int) -> bool:
         return False
     a = c.assign
     for nbrs, cv in zip(g.adj, a):
-        if [a[u] for u in nbrs].count(cv) != d:
+        same = 0
+        for u in nbrs:
+            if a[u] == cv:
+                same += 1
+        if same != d:
             return False
     return True
 
@@ -131,14 +135,15 @@ def is_proper(g: Graph, c: Coloring) -> bool:
     return is_exact_coloring(g, c, 0)
 
 
-def infeasibility_reason(g: Graph, d: int, components=None) -> str | None:
+def infeasibility_reason(g: Graph, d: int, orders=None) -> str | None:
     """The cheap necessary condition for an exact (k, d)-coloring that g fails, or None.
 
     Every color class induces a d-regular subgraph, so a coloring needs
     d <= min degree (which also gives every component more than d vertices).
     The part of a class inside one component is d-regular too; for odd d it
     has even order (handshake lemma), hence so does each component.
-    `components` are g's connected components when the caller has them.
+    `orders` are the vertex counts of g's components when the caller has
+    them (BlockCutTree.component_orders); only odd d reads them.
     """
     if g.n == 0 or d <= 0:
         return None
@@ -146,12 +151,12 @@ def infeasibility_reason(g: Graph, d: int, components=None) -> str | None:
         return "d exceeds min degree"
     if d % 2 == 0:
         return None
-    components = connected_components(g) if components is None else components
-    if any(len(comp) % 2 for comp in components):
+    orders = map(len, connected_components(g)) if orders is None else orders
+    if any(order % 2 for order in orders):
         return "d is odd and a component has odd order"
     return None
 
 
-def feasibility_precheck(g: Graph, d: int, components=None) -> bool:
+def feasibility_precheck(g: Graph, d: int, orders=None) -> bool:
     """True unless infeasibility_reason finds g infeasible; necessary, not sufficient."""
-    return infeasibility_reason(g, d, components) is None
+    return infeasibility_reason(g, d, orders) is None

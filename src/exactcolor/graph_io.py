@@ -11,6 +11,7 @@ Reading back a written graph reproduces it exactly.
 
 from __future__ import annotations
 
+import json
 import re
 
 from .coloring import Coloring
@@ -21,8 +22,7 @@ EDGELIST = "edgelist"
 DIMACS = "dimacs"
 
 
-# A line other than "a b" in ASCII digits; a plain EDGELIST file (LF only) has none.
-_NOT_PLAIN_LINE = re.compile(r"^(?![0-9]+ [0-9]+$)", re.MULTILINE)
+_DROP_DIGITS = str.maketrans("", "", "0123456789")
 _FIRST_CHAR = re.compile(r"\S")
 
 
@@ -54,13 +54,26 @@ def _lines(text: str):
 
 
 def _parse_edgelist(text: str) -> Graph:
-    """A plain file in one split; anything else, valid or not, line by line."""
-    if not _NOT_PLAIN_LINE.search(text, 0, len(text) - text.endswith("\n")):
-        tokens = text.split()
-        values = map(int, tokens)
-        n, m = next(values), next(values)
-        if len(tokens) == 2 * m + 2:
-            return build_graph(n, zip(values, values))
+    """A plain file as one JSON array; anything else, valid or not, line by line.
+
+    A file is plain when, with its ASCII digits dropped, each line (LF only,
+    the last one may lack it) is a single space, so every line is "a b".
+    JSON reads its integers once the spaces and newlines become commas.  It
+    rejects empty tokens and leading zeros, so such files go to the line
+    parser and read as they always have, as does a file whose header's
+    edge count does not match.
+    """
+    body = text.removesuffix("\n")
+    if body.translate(_DROP_DIGITS) == " \n" * body.count("\n") + " ":
+        try:
+            values = json.loads("[" + body.replace(" ", ",").replace("\n", ",") + "]")
+        except ValueError:
+            pass
+        else:
+            if len(values) == 2 * values[1] + 2:
+                it = iter(values)
+                n, _ = next(it), next(it)
+                return build_graph(n, zip(it, it))
     return _parse_edgelist_lines(text)
 
 

@@ -43,10 +43,10 @@ class Graph:
         return len(self.adj[v])
 
     def min_degree(self) -> int:
-        return min((len(a) for a in self.adj), default=0)
+        return min(map(len, self.adj), default=0)
 
     def max_degree(self) -> int:
-        return max((len(a) for a in self.adj), default=0)
+        return max(map(len, self.adj), default=0)
 
     def has_edge(self, u: int, v: int) -> bool:
         if self._adjsets is None:  # built on first use: most graphs are never asked
@@ -173,6 +173,7 @@ class BlockCutTree:
     closes after every block entered at one of its other vertices, and a
     root after its whole component, so the sweep runs leaves first; in
     reverse, every entry vertex is reached before its ring.
+    component_orders holds each component's vertex count, in root order.
     """
 
     blocks: tuple[tuple[int, ...], ...]
@@ -180,6 +181,7 @@ class BlockCutTree:
     cut_vertices: frozenset[int]
     kinds: tuple[BlockKind, ...]
     sweep: tuple[tuple[int | None, tuple[int, ...]], ...]
+    component_orders: tuple[int, ...]
     is_cactus: bool          # every block is an edge or a cycle
     is_block_graph: bool     # every block is a clique (K2, K3 stored as CYCLE, or larger)
 
@@ -204,7 +206,7 @@ def block_cut_tree(g: Graph) -> BlockCutTree:
     below = [0] * n         # blocks hanging below v, less one at a DFS root
     vstack: list[int] = []
     edges = timer = 0
-    blocks, counts, kinds, sweep = [], [], [], []
+    blocks, counts, kinds, sweep, orders = [], [], [], [], []
     cactus = block_graph = True
     EDGE, CYCLE, CLIQUE, OTHER = BlockKind
 
@@ -255,6 +257,7 @@ def block_cut_tree(g: Graph) -> BlockCutTree:
                     counts.append(e)
                     kinds.append(EDGE if b == 2 else CYCLE if e == b else CLIQUE if clique else OTHER)
         sweep.append((None, (root,)))
+        orders.append(timer - disc[root])  # the component's vertices are numbered last
 
     return BlockCutTree(
         blocks=tuple(blocks),
@@ -262,6 +265,7 @@ def block_cut_tree(g: Graph) -> BlockCutTree:
         cut_vertices=frozenset(v for v in range(n) if below[v] > 0),
         kinds=tuple(kinds),
         sweep=tuple(sweep),
+        component_orders=tuple(orders),
         is_cactus=cactus,
         is_block_graph=block_graph,
     )
@@ -436,7 +440,7 @@ def is_chordal(g: Graph) -> bool:
 
 
 def is_d_regular(g: Graph, d: int) -> bool:
-    return all(len(a) == d for a in g.adj)
+    return set(map(len, g.adj)) <= {d}
 
 
 class GraphClasses:
@@ -446,16 +450,12 @@ class GraphClasses:
         self.g = g
 
     @cached_property
-    def components(self) -> list[list[int]]:
-        return connected_components(self.g)
-
-    @cached_property
     def bct(self) -> BlockCutTree:
         return block_cut_tree(self.g)
 
     @cached_property
     def is_tree(self) -> bool:
-        return self.g.n >= 1 and self.g.m == self.g.n - 1 and len(self.components) == 1
+        return self.g.n >= 1 and self.g.m == self.g.n - 1 and len(self.bct.component_orders) == 1
 
     @property
     def is_cactus(self) -> bool:
@@ -468,7 +468,7 @@ class GraphClasses:
     @cached_property
     def regular_degree(self) -> int | None:
         """d if the graph is d-regular (and nonempty), else None."""
-        degs = {len(a) for a in self.g.adj}
+        degs = set(map(len, self.g.adj))
         return degs.pop() if len(degs) == 1 else None
 
     @cached_property
@@ -477,17 +477,23 @@ class GraphClasses:
 
     @cached_property
     def cycle_order(self) -> list[int] | None:
-        """The vertices in cyclic order when the graph is one cycle, else None."""
-        if self.g.n < 3 or self.regular_degree != 2 or len(self.components) != 1:
+        """The vertices in cyclic order when the graph is one cycle, else None.
+
+        The cycle is the graph's one block, whose ring runs from vertex 0
+        toward its smaller neighbor.
+        """
+        if self.g.n < 3 or self.regular_degree != 2 or len(self.bct.component_orders) != 1:
             return None
-        return cycle_order(range(self.g.n), self.g.edges())
+        return list(self.bct.blocks[0])
 
     @cached_property
     def wheel_order(self) -> list[int] | None:
         """The rim in cyclic order, then the hub, when the graph is a wheel, else None."""
         g = self.g
-        hub = max(range(g.n), key=g.degree, default=None)
-        if g.n < 4 or g.degree(hub) != g.n - 1 or sum(len(a) == 3 for a in g.adj) < g.n - 1:
+        if g.n < 4 or g.m != 2 * (g.n - 1):
+            return None
+        hub = max(range(g.n), key=g.degree)
+        if g.degree(hub) != g.n - 1 or sum(len(a) == 3 for a in g.adj) < g.n - 1:
             return None
         # degree 3 leaves each rim vertex two rim neighbors; the rim must be one cycle
         rim = [v for v in range(g.n) if v != hub]

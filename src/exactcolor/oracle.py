@@ -34,7 +34,7 @@ from .coloring import (
     solve_by_component,
 )
 from .errors import BadParameterError
-from .graphs import Graph, block_cut_tree, connected_components, contract_partition
+from .graphs import BlockCutTree, Graph, block_cut_tree, connected_components, contract_partition
 
 
 def _solve_component(g: Graph, k: int, d: int, b: _Budget) -> list[int] | None:
@@ -124,7 +124,7 @@ def brute_solve(
     if g.n == 0:
         return Coloring(k, ())
     comps = connected_components(g)
-    if k == 0 or not feasibility_precheck(g, d, comps):
+    if k == 0 or not feasibility_precheck(g, d, map(len, comps)):
         return None
     b = _Budget.of(budget)
 
@@ -135,29 +135,47 @@ def brute_solve(
     return solve_by_component(g, comps, solve_one)
 
 
-def _kcap(g: Graph, d: int) -> int:
+def _kcap(order: int, block: int, d: int) -> int:
     # see brute_chi; a component with no block is one vertex
-    return max(1, min(g.n // (d + 1), max(map(len, block_cut_tree(g).blocks), default=1)))
+    return max(1, min(order // (d + 1), block))
 
 
-def brute_chi(g: Graph, d: int, budget: int | _Budget = DEFAULT_BUDGET) -> SolveOutcome:
+def _kcaps(bct: BlockCutTree, d: int) -> list[int]:
+    """_kcap of each component, in root order: its largest ring comes before its root."""
+    caps, block = [], 1
+    orders = iter(bct.component_orders)
+    for i, ring in bct.sweep:
+        if i is None:
+            caps.append(_kcap(next(orders), block, d))
+            block = 1
+        elif len(ring) > block:
+            block = len(ring)
+    return caps
+
+
+def brute_chi(
+    g: Graph, d: int, budget: int | _Budget = DEFAULT_BUDGET, bct: BlockCutTree | None = None
+) -> SolveOutcome:
     """Smallest k admitting an exact (k, d)-coloring, or the infeasible outcome.
 
     A component with an exact coloring has one with min(n // (d+1), B)
     colors, B its largest block: classes have d + 1 or more vertices, and
     as same-colored counts add up over blocks, root first along the
     block-cut tree each block's colors can be renamed injectively into
-    [0, B).  Failing there certifies infeasibility.
+    [0, B).  Failing there certifies infeasibility.  `bct` is g's
+    block-cut tree when the caller has it.
     """
     if d < 0:
         raise BadParameterError("defect must be nonnegative")
-    comps = connected_components(g)
-    if not feasibility_precheck(g, d, comps):
+    bct = bct or block_cut_tree(g)
+    if not feasibility_precheck(g, d, bct.component_orders):
         return INFEASIBLE
+    comps = connected_components(g)  # in root order, as the caps are
+    caps = iter(_kcaps(bct, d))
     b = _Budget.of(budget)
 
     def smallest_k(h: Graph):
-        cap = _kcap(h, d)
+        cap = next(caps)
         for k in range(min(clique_lower_bound(h, d, b), cap), cap + 1):
             color = _solve_component(h, k, d, b)
             if color is not None:

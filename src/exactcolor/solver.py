@@ -57,8 +57,9 @@ class Route(NamedTuple):
     name: str                    # reported as the report's algorithm
     group: str | None            # the `algorithm` that selects it; None: auto only
     applies: Callable[[GraphClasses, int], object]  # truthy: the route runs
-    # run(s, d, k, budget) -> exact value, or None: a forced decision search said no
-    run: Callable[[GraphClasses, int, int | None, _Budget], SolveOutcome | None]
+    # run(s, d, k, budget) -> exact value, or a forced decision search's witness
+    # (chi stays unknown), or None: that search said no
+    run: Callable[[GraphClasses, int, int | None, _Budget], SolveOutcome | Coloring | None]
 
 
 def _cactus(s: GraphClasses, d: int, k, budget: _Budget) -> SolveOutcome:
@@ -69,11 +70,10 @@ def _cactus(s: GraphClasses, d: int, k, budget: _Budget) -> SolveOutcome:
     raise ExactColoringError("cactus algorithms cover d in {1, 2}")
 
 
-def _brute(s: GraphClasses, d: int, k, budget: _Budget) -> SolveOutcome | None:
+def _brute(s: GraphClasses, d: int, k, budget: _Budget) -> SolveOutcome | Coloring | None:
     if k is None:
-        return brute_chi(s.g, d, budget=budget)
-    witness = brute_solve(s.g, k, d, budget=budget)
-    return None if witness is None else SolveOutcome.finite(k, witness)
+        return brute_chi(s.g, d, budget=budget, bct=s.bct)
+    return brute_solve(s.g, k, d, budget=budget)
 
 
 def _relabel(outcome: SolveOutcome, order: list[int]) -> SolveOutcome:
@@ -88,13 +88,14 @@ def _relabel(outcome: SolveOutcome, order: list[int]) -> SolveOutcome:
 # The runs look solvers up by name when called, so wrapping a solver in its
 # module namespace (as a tracer does) also wraps it here.  Auto always
 # computes chi, even for a decision query; only a forced brute search decides
-# "chi_d <= k" directly.  The precheck applies with the failed condition,
-# which becomes the report's reason; it reads the components at odd d only.
+# "chi_d <= k" directly, and then reports no chi.  The precheck applies with
+# the failed condition, which becomes the report's reason; it reads the
+# component orders at odd d only.
 ROUTES = (
     Route("chromatic", None, lambda s, d: d == 0,
           lambda s, d, k, budget: SolveOutcome.finite(*chromatic_number(s.g, budget))),
     Route("precheck", None,
-          lambda s, d: infeasibility_reason(s.g, d, s.components if d % 2 else None),
+          lambda s, d: infeasibility_reason(s.g, d, s.bct.component_orders if d % 2 else None),
           lambda *_: INFEASIBLE),
     Route("brute", None, lambda s, d: s.g.n == 0, lambda s, d, k, b: _brute(s, d, None, b)),
     Route("closedform:regular", "closedform", lambda s, d: s.regular_degree == d,
@@ -102,7 +103,7 @@ ROUTES = (
     Route("closedform:complete", "closedform", lambda s, d: s.is_complete,
           lambda s, d, *_: chi_complete(s.g.n, d)),
     Route("closedform:tree", "closedform", lambda s, d: s.is_tree,
-          lambda s, d, *_: chi_tree(s.g, d)),
+          lambda s, d, *_: chi_tree(s.g, d, s.bct)),
     Route("closedform:cycle", "closedform", lambda s, d: s.cycle_order and d in (1, 2),
           lambda s, d, *_: _relabel(chi_cycle(s.g.n, d), s.cycle_order)),
     Route("closedform:wheel", "closedform", lambda s, d: d == 1 and s.wheel_order,
@@ -125,6 +126,8 @@ def _report(g: Graph, d: int, k: int | None, answer, algorithm: str, reason: str
         verdict, reason = "unknown", str(answer)
     elif answer is None:
         verdict = "no"
+    elif isinstance(answer, Coloring):
+        verdict, witness = "yes", answer
     elif answer.is_infeasible:
         verdict = "infinite" if k is None else "no"
         if k is not None:
@@ -165,9 +168,9 @@ def solve(
         answer = route.run(s, d, k, _Budget(budget))
     except BudgetExceededError as exc:
         answer = exc
-    if isinstance(answer, SolveOutcome) and answer.is_finite:
-        if not is_exact_coloring(g, answer.witness, d):
-            raise InvalidWitnessError(f"{route.name} returned a witness that is not exact at d = {d}")
+    witness = answer.witness if isinstance(answer, SolveOutcome) else answer
+    if isinstance(witness, Coloring) and not is_exact_coloring(g, witness, d):
+        raise InvalidWitnessError(f"{route.name} returned a witness that is not exact at d = {d}")
     elapsed_ms = round((time.perf_counter() - start) * 1000, 3)
     reason = why if route.name == "precheck" else None
     return _report(g, d, k, answer, route.name, reason, elapsed_ms)

@@ -1,3 +1,5 @@
+import random
+
 from hypothesis import given, settings, strategies as st
 import pytest
 
@@ -82,6 +84,20 @@ class TestIsExactColoring:
                     induced_ok = False
                     break
             assert is_exact_coloring(g, c, d) == induced_ok
+
+    def test_agrees_with_the_defect_list(self):
+        rng = random.Random(8)
+        agreed = 0
+        for _ in range(600):
+            n, k = rng.randint(0, 9), rng.randint(1, 3)
+            g = build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5])
+            c = Coloring(k, tuple(rng.randrange(k) for _ in range(n)))
+            per_vertex = defects(g, c)
+            for d in {0, 1, 2, *per_vertex[:1]}:  # d = vertex 0's defect makes "exact" common
+                exact = is_exact_coloring(g, c, d)
+                assert exact == (per_vertex == [d] * n)
+                agreed += exact
+        assert agreed >= 100
 
 
 class TestIsProper:

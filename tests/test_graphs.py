@@ -25,7 +25,7 @@ from exactcolor import (
     recognize,
     tightness_gadget,
 )
-from exactcolor.graphs import block_factor
+from exactcolor.graphs import block_factor, cycle_order
 from conftest import perfect_matchings_filter
 
 
@@ -153,6 +153,24 @@ def bfs_distances(g, root):
                 dist[w] = dist[u] + 1
                 queue.append(w)
     return dist
+
+
+def test_component_orders_are_the_component_sizes():
+    rng = random.Random(21)
+    for case in range(1200):
+        n = case % 16  # n = 0 included
+        p = rng.uniform(0.0, 0.4)  # sparse, so most graphs have several components
+        g = build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+        assert list(block_cut_tree(g).component_orders) == [len(c) for c in connected_components(g)]
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_cycle_order_is_the_ring_of_the_one_block(seed):
+    rng = random.Random(seed)
+    n = rng.randint(3, 40)
+    perm = rng.sample(range(n), n)
+    g = build_graph(n, [(perm[i], perm[i - 1]) for i in range(n)])
+    assert recognize(g).cycle_order == cycle_order(range(n), g.edges())
 
 
 class TestBlockSweep:

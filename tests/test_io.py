@@ -1,3 +1,5 @@
+import random
+
 from hypothesis import given, settings, strategies as st
 import pytest
 
@@ -5,6 +7,7 @@ from exactcolor import (
     Coloring,
     ExactColoringError,
     InconsistentHeaderError,
+    OutOfRangeError,
     ParseError,
     SelfLoopError,
     build_graph,
@@ -88,6 +91,21 @@ def parse_outcome(parse, text):
         return type(exc), getattr(exc, "line", None), str(exc)
 
 
+def random_plain_text(rng):
+    """A plain EDGELIST text: duplicate edges in both orientations, isolated vertices, maybe m = 0."""
+    n = rng.choice([0, 1, 2, rng.randint(3, 15), rng.randint(90, 1200)])
+    m = 0 if n < 2 or rng.random() < 0.1 else rng.randint(1, 2 * n)
+    edges = [rng.sample(range(n), 2) for _ in range(m)]
+    edges += [edge[::-1] for edge in rng.sample(edges, m // 4)]  # repeated the other way round
+    rng.shuffle(edges)
+    text = "\n".join([f"{n} {len(edges)}"] + [f"{u} {v}" for u, v in edges])
+    return text + rng.choice(["", "\n"])
+
+
+def refuse_line_parsing(_):
+    raise AssertionError("plain EDGELIST text went to the line parser")
+
+
 class TestEdgelistFastPath:
     @given(edgelist_texts())
     @settings(max_examples=300)
@@ -95,11 +113,39 @@ class TestEdgelistFastPath:
         expect = parse_outcome(graph_io._parse_edgelist_lines, text)
         assert parse_outcome(read_graph, text) == expect
 
-    def test_plain_files_never_reach_the_line_parser(self, monkeypatch):
-        def line_parser(_):
-            raise AssertionError("plain EDGELIST text went to the line parser")
+    def test_json_path_matches_the_line_parser_on_random_plain_files(self, monkeypatch):
+        rng = random.Random(3)
+        texts = [random_plain_text(rng) for _ in range(600)]
+        expect = [graph_io._parse_edgelist_lines(text) for text in texts]
+        monkeypatch.setattr(graph_io, "_parse_edgelist_lines", refuse_line_parsing)
+        assert [read_graph(text) for text in texts] == expect
+        # the cases the generator promises all occur
+        assert any(g.m == 0 and g.n >= 2 for g in expect)
+        assert any(not text.endswith("\n") for text in texts)
+        assert any(g.m < int(text.split()[1]) for g, text in zip(expect, texts))  # duplicates
+        assert any(0 in map(len, g.adj) and g.m for g in expect)  # isolated vertices
 
-        monkeypatch.setattr(graph_io, "_parse_edgelist_lines", line_parser)
+    @pytest.mark.parametrize("text,expect", [
+        ("3 2\n00 1\n1 02\n", path(3)),             # leading zeros
+        ("03 2\n0 1\n1 2", path(3)),
+        ("3 1\n1e5 2\n", (ParseError, 2, "line 2: non-integer endpoint")),
+        ("3 1\n-1 2\n", (OutOfRangeError, None, "edge (-1, 2) has an endpoint outside [0, 3)")),
+        ("3 1\n0 1 2\n", (ParseError, 2, "line 2: expected edge line 'u v'")),
+        ("3 2\n0 1\n\n1 2\n", path(3)),            # an empty line
+        ("3 1\n0 1\n\n", build_graph(3, [(0, 1)])),
+        ("3 2\n0\t1\n1 2\n", path(3)),
+        ("3 2\r\n0 1\r\n1 2\r\n", path(3)),
+        ("3 2\n\u0660 1\n1 \u0662\n", path(3)),   # Arabic-Indic digits, which int() reads
+        ("3 1\n 0 1\n", build_graph(3, [(0, 1)])),
+        ("3 1\n0  1\n", build_graph(3, [(0, 1)])),
+        # too many digits for int(), and so for JSON: a parse error, not a ValueError
+        ("3 1\n0 " + "1" * 5000 + "\n", (ParseError, 2, "line 2: non-integer endpoint")),
+    ])
+    def test_texts_json_rejects_read_line_by_line(self, text, expect):
+        assert parse_outcome(read_graph, text) == expect
+
+    def test_plain_files_never_reach_the_line_parser(self, monkeypatch):
+        monkeypatch.setattr(graph_io, "_parse_edgelist_lines", refuse_line_parsing)
         assert read_graph(write_graph(path(40))) == path(40)
         assert read_graph(write_graph(build_graph(5, []))) == build_graph(5, [])
         assert read_graph("3 2\n0 1\n1 2") == path(3)

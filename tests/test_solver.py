@@ -7,6 +7,16 @@ import exactcolor as xc
 from exactcolor import graphs
 
 
+def patch_graphs(monkeypatch, name, replacement):
+    """Replace graphs.<name> in every exactcolor module that imports it."""
+    original = getattr(graphs, name)
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name == "exactcolor" or mod_name.startswith("exactcolor."):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, replacement)
+
+
 def count_calls(monkeypatch, name):
     """Count calls of graphs.<name>, patched in every exactcolor module that imports it."""
     original = getattr(graphs, name)
@@ -16,12 +26,19 @@ def count_calls(monkeypatch, name):
         calls.append(args)
         return original(*args, **kwargs)
 
-    for mod_name, mod in list(sys.modules.items()):
-        if mod_name == "exactcolor" or mod_name.startswith("exactcolor."):
-            for attr, value in list(vars(mod).items()):
-                if value is original:
-                    monkeypatch.setattr(mod, attr, counted)
+    patch_graphs(monkeypatch, name, counted)
     return calls
+
+
+def disjoint_union(g, h):
+    return xc.build_graph(g.n + h.n, g.edges() + [(u + g.n, v + g.n) for u, v in h.edges()])
+
+
+def clique_tree():
+    """K12, K4 and K8 joined by two bridges: a block graph with chi_3 = 3."""
+    cliques = [range(0, 12), range(12, 16), range(16, 24)]
+    edges = [(a, b) for c in cliques for a in c for b in c if a < b]
+    return xc.build_graph(24, edges + [(0, 12), (5, 16)])
 
 
 @pytest.mark.parametrize(
@@ -29,6 +46,8 @@ def count_calls(monkeypatch, name):
     [
         (xc.random_cactus(60, seed=1, style="bridged"), 2, "cactus"),
         (xc.random_block_graph(60, seed=1), 1, "blockgraph"),
+        (xc.petersen(), 1, "brute"),
+        (disjoint_union(xc.petersen(), xc.petersen()), 1, "brute"),
     ],
 )
 def test_one_block_cut_tree_and_no_chordality_test(monkeypatch, g, d, algorithm):
@@ -98,8 +117,8 @@ def test_budget_bounds_every_search_of_a_solve():
 def test_polynomial_routes_find_the_components_once(monkeypatch, g, d, algorithm):
     calls = count_calls(monkeypatch, "connected_components")
     assert xc.solve(g, d).algorithm == algorithm
-    # at even d neither the precheck nor the tree test (m = n - 1 fails first) needs them
-    assert sum(args[0] is g for args in calls) == d % 2
+    # the odd-d precheck and the tree test read the orders the block-cut search records
+    assert calls == []
 
 
 @pytest.mark.parametrize("style", ["mixed", "bridged", "shared", "petaled"])
@@ -111,6 +130,42 @@ def test_d1_cactus_solve_enumerates_no_matchings(monkeypatch, style):
         g = xc.random_cactus(40 + 2 * seed, seed=seed, style=style)
         assert xc.solve(g, 1).algorithm == "cactus"
     assert calls == []
+
+
+@pytest.mark.parametrize("g,d,algorithm", [
+    (xc.random_cactus(60, seed=1, style="bridged"), 2, "cactus"),
+    (xc.random_block_graph(60, seed=1), 1, "blockgraph"),
+    (xc.path(10), 1, "closedform:tree"),
+    (clique_tree(), 3, "blockgraph"),
+    (xc.cycle(12), 1, "closedform:cycle"),
+    (xc.wheel(8), 1, "closedform:wheel"),
+])
+def test_polynomial_and_closed_form_routes_need_no_component_search(monkeypatch, g, d, algorithm):
+    def refuse(_):
+        raise AssertionError("connected_components was called")
+
+    patch_graphs(monkeypatch, "connected_components", refuse)
+    assert xc.solve(g, d).algorithm == algorithm
+
+
+@pytest.mark.parametrize("g,d,algorithm", [
+    (xc.petersen(), 1, "auto"),
+    (xc.cycle(10), 1, "closedform"),
+    (xc.path(8), 1, "closedform"),
+    (xc.random_cactus(40, seed=2, style="bridged"), 2, "cactus"),
+    (xc.build_graph(8, [(a, b) for a in range(4) for b in range(a + 1, 5)] + [(4, 5), (5, 6), (6, 7), (5, 7)]),
+     1, "blockgraph"),
+    (xc.cycle(10), 1, "brute"),
+    (xc.petersen(), 1, "brute"),  # k = 7, chi_1 = 5
+])
+def test_a_decision_above_chi_never_reports_k_as_chi(g, d, algorithm):
+    chi = xc.brute_chi(g, d).chi
+    rep = xc.solve(g, d, k=chi + 2, algorithm=algorithm)
+    assert rep.verdict == "yes" and xc.is_exact_coloring(g, rep.witness, d)
+    if algorithm == "brute":  # only a decision search ran: chi stays unknown
+        assert (rep.chi, rep.witness.k) == (None, chi + 2)
+    else:
+        assert rep.chi == rep.witness.k == chi
 
 
 def test_brute_finds_the_components_at_most_twice(monkeypatch):
