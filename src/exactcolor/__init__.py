@@ -90,7 +90,6 @@ from .graph_io import (
 )
 from .graphs import (
     BlockCutTree,
-    BlockKind,
     Graph,
     GraphClasses,
     Matching,

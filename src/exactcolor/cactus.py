@@ -32,9 +32,9 @@ image is an odd cycle of three or more runs, which needs three.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from typing import NamedTuple
 
 from .coloring import Coloring, INFEASIBLE, SolveOutcome, monochromatic
 from .errors import BadParameterError, IncompleteLabelingError, NotACactusError
@@ -61,7 +61,6 @@ class NoReason(Enum):
     ADJACENT_M = "adjacent_m"                        # a forced M cycle touches another M cycle
 
 
-@dataclass
 class CactusAux:
     """Block structure of a cactus, read off its block-cut tree.
 
@@ -73,8 +72,8 @@ class CactusAux:
     (one lying on no other cycle), which only a rejection's reason needs.
     """
 
-    g: Graph
-    bct: BlockCutTree
+    def __init__(self, g: Graph, bct: BlockCutTree):
+        self.g, self.bct = g, bct
 
     @property
     def rings(self) -> tuple[tuple[int | None, tuple[int, ...]], ...]:
@@ -97,8 +96,7 @@ class CactusAux:
         return tuple(any(len(self.cliques[v]) == 1 for v in cyc) for cyc in self.cycles)
 
 
-@dataclass
-class LabelResult:
+class LabelResult(NamedTuple):
     """Outcome of the labeling pass: complete labels, or a rejection reason."""
 
     labels: tuple[str, ...] | None

@@ -8,22 +8,26 @@ question "does a coloring with at most k classes exist" is monotone in k.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import LengthMismatchError, OutOfRangeError
 from .graphs import Graph, connected_components, induced_subgraph
 
 
-@dataclass(frozen=True)
-class Coloring:
-    """k available colors and a per-vertex color index in [0, k)."""
-
+class _Coloring(NamedTuple):
     k: int
     assign: tuple[int, ...]
 
-    def __post_init__(self):
-        if self.assign and not (0 <= min(self.assign) and max(self.assign) < self.k):
+
+class Coloring(_Coloring):
+    """k available colors and a per-vertex color index in [0, k)."""
+
+    __slots__ = ()
+
+    def __new__(cls, k: int, assign: tuple[int, ...]):
+        if assign and not (0 <= min(assign) and max(assign) < k):
             raise OutOfRangeError("color index outside [0, k)")
+        return super().__new__(cls, k, assign)
 
     def classes(self) -> list[list[int]]:
         """Vertex lists per color, including empty classes."""
@@ -37,8 +41,7 @@ def monochromatic(n: int) -> Coloring:
     return Coloring(1, (0,) * n)
 
 
-@dataclass(frozen=True)
-class SolveOutcome:
+class SolveOutcome(NamedTuple):
     """Value of the exact defective chromatic number for one query.
 
     Either finite with a witness coloring, or infeasible (the value is
@@ -141,9 +144,10 @@ def infeasibility_reason(g: Graph, d: int, orders=None) -> str | None:
     Every color class induces a d-regular subgraph, so a coloring needs
     d <= min degree (which also gives every component more than d vertices).
     The part of a class inside one component is d-regular too; for odd d it
-    has even order (handshake lemma), hence so does each component.
-    `orders` are the vertex counts of g's components when the caller has
-    them (BlockCutTree.component_orders); only odd d reads them.
+    has even order (handshake lemma), hence so does each component, and an
+    odd n already shows one of odd order.  `orders` are the vertex counts of
+    g's components when the caller has them (BlockCutTree.component_orders);
+    only odd d at even n reads them.
     """
     if g.n == 0 or d <= 0:
         return None
@@ -151,10 +155,11 @@ def infeasibility_reason(g: Graph, d: int, orders=None) -> str | None:
         return "d exceeds min degree"
     if d % 2 == 0:
         return None
-    orders = map(len, connected_components(g)) if orders is None else orders
-    if any(order % 2 for order in orders):
-        return "d is odd and a component has odd order"
-    return None
+    if g.n % 2 == 0:
+        orders = map(len, connected_components(g)) if orders is None else orders
+        if not any(order % 2 for order in orders):
+            return None
+    return "d is odd and a component has odd order"
 
 
 def feasibility_precheck(g: Graph, d: int, orders=None) -> bool:

@@ -11,9 +11,8 @@ from __future__ import annotations
 import heapq
 import sys
 from collections import deque
-from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import (
     DisconnectedClassError,
@@ -150,23 +149,14 @@ def is_bipartite(g: Graph) -> tuple[bool, list[int] | None]:
 # Blocks (maximal biconnected components)
 # ---------------------------------------------------------------------------
 
-class BlockKind(Enum):
-    EDGE = "edge"
-    CYCLE = "cycle"
-    CLIQUE = "clique"
-    OTHER = "other"
-
-
-@dataclass(frozen=True)
-class BlockCutTree:
-    """Blocks and cut vertices of a graph, in the order a depth-first search closes them.
+class BlockCutTree(NamedTuple):
+    """Blocks of a graph, in the order a depth-first search closes them.
 
     Every edge lies in exactly one block; a vertex is a cut vertex iff it
     lies in two or more blocks.  Isolated vertices belong to no block.
     Each block is a ring that starts at its entry vertex, the one the
     search reached first; on a cycle block the ring runs around the cycle.
-    edge_counts[i] is the number of edges of block i.  A triangle block is
-    reported as CYCLE but counts as a clique for block-graph recognition.
+    A triangle block counts toward both is_cactus and is_block_graph.
 
     sweep holds (i, blocks[i]) for every block and (None, (r,)) for each
     component's root r, its smallest vertex, in closing order.  A block
@@ -177,13 +167,10 @@ class BlockCutTree:
     """
 
     blocks: tuple[tuple[int, ...], ...]
-    edge_counts: tuple[int, ...]
-    cut_vertices: frozenset[int]
-    kinds: tuple[BlockKind, ...]
     sweep: tuple[tuple[int | None, tuple[int, ...]], ...]
     component_orders: tuple[int, ...]
     is_cactus: bool          # every block is an edge or a cycle
-    is_block_graph: bool     # every block is a clique (K2, K3 stored as CYCLE, or larger)
+    is_block_graph: bool     # every block is a clique
 
 
 def block_cut_tree(g: Graph) -> BlockCutTree:
@@ -192,30 +179,28 @@ def block_cut_tree(g: Graph) -> BlockCutTree:
     A block closes when the search returns from v to u with low[v] >=
     disc[u].  Its edges are those counted since the search reached v, so
     only their running count is kept; its ring is u and the vertices pushed
-    on the vertex stack since v, which on a cycle run in cyclic order.  Its
-    kind follows from its size b and edge count e: a 2-connected block has
-    e >= b, with equality only on a cycle.  Each edge is counted from its
-    later end, the tree edge to the parent included: that edge lowers
-    low[v] to disc[u] at most, which changes neither test against disc[u].
+    on the vertex stack since v, which on a cycle run in cyclic order.  The
+    class tests read its size b and edge count e: a block of three or more
+    vertices has e >= b, with equality only on a cycle, and it is a clique
+    iff 2e = b(b - 1).  Each edge is counted from its later end, the tree
+    edge to the parent included: that edge lowers low[v] to disc[u] at
+    most, which changes neither test against disc[u].
     """
     n, adj = g.n, g.adj
     disc = [-1] * n
     low = [0] * n
     height = [0] * n        # edge count before the tree edge into v
     vpos = [0] * n          # index of v in the vertex stack
-    below = [0] * n         # blocks hanging below v, less one at a DFS root
     vstack: list[int] = []
     edges = timer = 0
-    blocks, counts, kinds, sweep, orders = [], [], [], [], []
+    blocks, sweep, orders = [], [], []
     cactus = block_graph = True
-    EDGE, CYCLE, CLIQUE, OTHER = BlockKind
 
     for root in range(n):
         if disc[root] != -1:
             continue
         disc[root] = low[root] = timer
         timer += 1
-        below[root] = -1
         stack = [(root, iter(adj[root]))]
         while stack:
             v, it = stack[-1]
@@ -243,27 +228,20 @@ def block_cut_tree(g: Graph) -> BlockCutTree:
                 if lv < low[u]:
                     low[u] = lv
                 if lv >= disc[u]:
-                    below[u] += 1
                     ring = (u, *vstack[vpos[v]:])
                     del vstack[vpos[v]:]
                     e = edges - height[v]
                     edges = height[v]
                     b = len(ring)
-                    clique = 2 * e == b * (b - 1)
                     cactus = cactus and e <= b
-                    block_graph = block_graph and clique
+                    block_graph = block_graph and 2 * e == b * (b - 1)
                     sweep.append((len(blocks), ring))
                     blocks.append(ring)
-                    counts.append(e)
-                    kinds.append(EDGE if b == 2 else CYCLE if e == b else CLIQUE if clique else OTHER)
         sweep.append((None, (root,)))
         orders.append(timer - disc[root])  # the component's vertices are numbered last
 
     return BlockCutTree(
         blocks=tuple(blocks),
-        edge_counts=tuple(counts),
-        cut_vertices=frozenset(v for v in range(n) if below[v] > 0),
-        kinds=tuple(kinds),
         sweep=tuple(sweep),
         component_orders=tuple(orders),
         is_cactus=cactus,
@@ -510,8 +488,7 @@ def recognize(g: Graph) -> GraphClasses:
 # Matchings
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Matching:
+class Matching(NamedTuple):
     """A set of pairwise vertex-disjoint edges of some host graph."""
 
     edges: tuple[tuple[int, int], ...]

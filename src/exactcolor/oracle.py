@@ -21,7 +21,7 @@ exact coloring ever needs, which certifies infeasibility.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .chromatic import DEFAULT_BUDGET, _Budget, chromatic_number
 from .closedform import clique_lower_bound
@@ -190,8 +190,7 @@ def brute_chi(
 # Partitions into d-regular induced subgraphs
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RegularPartition:
+class RegularPartition(NamedTuple):
     """A partition of the vertex set into connected d-regular induced parts."""
 
     parts: tuple[tuple[int, ...], ...]

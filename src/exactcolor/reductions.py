@@ -29,8 +29,8 @@ Constructions:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .coloring import Coloring, is_exact_coloring, is_proper
 from .errors import (
@@ -45,19 +45,23 @@ from .graph_io import _to_text
 from .graphs import Graph, build_graph
 
 
-@dataclass(frozen=True)
-class NaeFormula:
-    """Monotone NAE-3SAT instance: 3-clauses of positive variable indices."""
-
+class _NaeFormula(NamedTuple):
     num_vars: int
     clauses: tuple[tuple[int, int, int], ...]
 
-    def __post_init__(self):
-        for clause in self.clauses:
+
+class NaeFormula(_NaeFormula):
+    """Monotone NAE-3SAT instance: 3-clauses of positive variable indices."""
+
+    __slots__ = ()
+
+    def __new__(cls, num_vars: int, clauses: tuple[tuple[int, int, int], ...]):
+        for clause in clauses:
             if len(clause) != 3:
                 raise MalformedFormulaError("clauses must have exactly 3 literals")
-            if any(not 0 <= x < self.num_vars for x in clause):
+            if any(not 0 <= x < num_vars for x in clause):
                 raise MalformedFormulaError("variable index out of range")
+        return super().__new__(cls, num_vars, clauses)
 
 
 def nae_satisfiable(f: NaeFormula) -> list[bool] | None:
@@ -129,8 +133,7 @@ def format_nae_formula(f: NaeFormula) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass
-class ReductionMap:
+class ReductionMap(NamedTuple):
     """Provenance of every target vertex plus the embedded source instance."""
 
     kind: str                                  # coloring | planar | increment | nae3sat

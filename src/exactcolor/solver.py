@@ -11,7 +11,6 @@ is shared by every search the chosen route runs.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, fields
 from typing import Callable, NamedTuple
 
 from .blockgraph import blockgraph_chi
@@ -30,8 +29,7 @@ from .errors import BadParameterError, BudgetExceededError, ExactColoringError, 
 from .graphs import Graph, GraphClasses, recognize
 from .oracle import brute_chi, brute_solve
 
-@dataclass
-class Report:
+class Report(NamedTuple):
     """One solve answer, with the fields of docs/report-schema.json."""
 
     verdict: str                 # "yes", "no", "infinite" or "unknown"
@@ -47,7 +45,7 @@ class Report:
 
     def to_dict(self) -> dict:
         """The JSON object of the schema."""
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out = self._asdict()
         if self.witness is not None:
             out["witness"] = {"k": self.witness.k, "assign": list(self.witness.assign)}
         return out
@@ -90,12 +88,13 @@ def _relabel(outcome: SolveOutcome, order: list[int]) -> SolveOutcome:
 # computes chi, even for a decision query; only a forced brute search decides
 # "chi_d <= k" directly, and then reports no chi.  The precheck applies with
 # the failed condition, which becomes the report's reason; it reads the
-# component orders at odd d only.
+# component orders at odd d and even n only.
 ROUTES = (
     Route("chromatic", None, lambda s, d: d == 0,
           lambda s, d, k, budget: SolveOutcome.finite(*chromatic_number(s.g, budget))),
     Route("precheck", None,
-          lambda s, d: infeasibility_reason(s.g, d, s.bct.component_orders if d % 2 else None),
+          lambda s, d: infeasibility_reason(
+              s.g, d, s.bct.component_orders if d % 2 and s.g.n % 2 == 0 else None),
           lambda *_: INFEASIBLE),
     Route("brute", None, lambda s, d: s.g.n == 0, lambda s, d, k, b: _brute(s, d, None, b)),
     Route("closedform:regular", "closedform", lambda s, d: s.regular_degree == d,

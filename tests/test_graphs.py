@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 import pytest
 
 from exactcolor import (
-    BlockKind,
     DisconnectedClassError,
     NotAPartitionError,
     OutOfRangeError,
@@ -41,6 +40,12 @@ def block_edges(g, verts):
     """The edges of g with both ends in verts: a block's edges, when verts is a block."""
     inside = set(verts)
     return [(u, v) for u, v in g.edges() if u in inside and v in inside]
+
+
+def cut_vertices(bct):
+    """The vertices lying in two or more blocks."""
+    membership = Counter(v for verts in bct.blocks for v in verts)
+    return {v for v, count in membership.items() if count >= 2}
 
 
 class TestBuildGraph:
@@ -79,35 +84,33 @@ class TestBlockCutTree:
     def test_bowtie(self, bowtie):
         bct = block_cut_tree(bowtie)
         assert len(bct.blocks) == 2
-        assert all(k == BlockKind.CYCLE for k in bct.kinds)
-        assert bct.cut_vertices == {2}
+        assert all(len(block_edges(bowtie, b)) == len(b) == 3 for b in bct.blocks)
+        assert cut_vertices(bct) == {2}
 
     def test_path4(self):
         bct = block_cut_tree(path(4))
         assert len(bct.blocks) == 3
-        assert all(k == BlockKind.EDGE for k in bct.kinds)
-        assert bct.cut_vertices == {1, 2}
+        assert all(len(b) == 2 for b in bct.blocks)
+        assert cut_vertices(bct) == {1, 2}
 
     def test_petersen_single_block(self):
         bct = block_cut_tree(petersen())
-        assert len(bct.blocks) == 1
-        assert bct.kinds[0] == BlockKind.OTHER
-        assert not bct.cut_vertices
+        assert len(bct.blocks) == 1 and len(bct.blocks[0]) == 10
+        assert not cut_vertices(bct)
+        assert not (bct.is_cactus or bct.is_block_graph)
 
     def test_triangle_is_cycle_and_clique(self):
         bct = block_cut_tree(complete(3))
-        assert bct.kinds[0] == BlockKind.CYCLE
+        assert len(bct.blocks) == 1 and len(bct.blocks[0]) == 3
         assert bct.is_cactus and bct.is_block_graph
 
     @given(graphs())
     @settings(max_examples=60)
     def test_edges_partition_into_blocks(self, g):
         bct = block_cut_tree(g)
-        assert sum(bct.edge_counts) == g.m
         seen = set()
-        for verts, count in zip(bct.blocks, bct.edge_counts):
+        for verts in bct.blocks:
             edges = block_edges(g, verts)
-            assert len(edges) == count
             for e in edges:
                 assert e not in seen
                 seen.add(e)
@@ -123,11 +126,10 @@ class TestBlockCutTree:
         g = build_graph(n, [(label[u], label[v]) for u, v in random_cactus(n, seed, style).edges()])
         bct = block_cut_tree(g)
         dist = bfs_distances(g, 0)
-        for verts, kind in zip(bct.blocks, bct.kinds):
+        for verts in bct.blocks:
             # every ring starts at its entry vertex, the one nearest the root
             assert all(dist[verts[0]] < dist[w] for w in verts[1:])
-            if kind != BlockKind.CYCLE:
-                assert len(verts) == 2
+            if len(verts) == 2:
                 continue
             # a closed walk over exactly the block's edges, from the entry vertex
             walk = {frozenset(p) for p in zip(verts, verts[1:] + verts[:1])}
@@ -137,10 +139,12 @@ class TestBlockCutTree:
     @given(graphs())
     @settings(max_examples=60)
     def test_cut_vertices_lie_in_two_blocks(self, g):
-        bct = block_cut_tree(g)
-        membership = Counter(v for verts in bct.blocks for v in verts)
+        # a cut vertex is one whose removal leaves more components
+        cuts = cut_vertices(block_cut_tree(g))
+        parts = len(connected_components(g))
         for v in range(g.n):
-            assert (membership[v] >= 2) == (v in bct.cut_vertices)
+            rest = build_graph(g.n, [e for e in g.edges() if v not in e])
+            assert (len(connected_components(rest)) - 1 > parts) == (v in cuts)
 
 
 def bfs_distances(g, root):

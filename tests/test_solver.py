@@ -194,6 +194,15 @@ def test_precheck_reports_the_condition_that_failed(g, d, reason):
     assert xc.brute_chi(g, d).is_infeasible
 
 
+@pytest.mark.parametrize("g,d", [(xc.complete(23), 3), (xc.wheel(39), 1), (xc.cycle(61), 1)])
+def test_odd_order_at_odd_d_needs_no_block_cut_tree(monkeypatch, g, d):
+    calls = count_calls(monkeypatch, "block_cut_tree")
+    rep = xc.solve(g, d)
+    assert (rep.verdict, rep.algorithm, rep.reason) == (
+        "infinite", "precheck", "d is odd and a component has odd order")
+    assert calls == []
+
+
 @pytest.mark.parametrize("g", [xc.random_cactus(9, seed=2), xc.complete(4), xc.random_graph(8, 0.5, 1)])
 @pytest.mark.parametrize("algorithm", ["auto", "brute"])
 def test_negative_defect_is_one_error_on_every_route(g, algorithm):
