@@ -4,7 +4,8 @@
 Builds a cactus whose central 4-cycle must be polychromatic while the four
 triangles hanging off it stay monochromatic, shows the labeling, extracts a
 2-coloring, and validates it.  Then shows the rejection reasons on graphs
-with no exact (k,2)-coloring and the 3-color fallback on an odd core.
+with no exact (k,2)-coloring, and an odd core that one labeling shows
+needs three colors.
 """
 
 from exactcolor import (
@@ -38,26 +39,27 @@ def main():
         simplicial = "owns a cycle-simplicial vertex" if aux.has_w[i] else "fully shared"
         print(f"  cycle {i}: {cyc} ({simplicial})")
 
-    res = cactus_label(aux, 2)
+    res = cactus_label(aux)
     print("labels:", dict(enumerate(res.labels)))
-    coloring = cactus_extract_coloring(g, aux, res, 2)
+    coloring = cactus_extract_coloring(g, aux, res)
     print("coloring:", coloring.assign)
     assert is_exact_coloring(g, coloring, 2)
     print("the coloring is a valid exact (2,2)-coloring\n")
 
     bowtie = build_graph(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)])
-    res = cactus_label(cactus_preprocess(bowtie), 2)
+    res = cactus_label(cactus_preprocess(bowtie))
     print(f"bowtie rejects: {res.reason.name} "
           "(both triangles are forced monochromatic but share a vertex)")
     assert cactus_chi2(bowtie).is_infeasible
 
     ring = sunlet(3)  # odd core: two colors cannot alternate around it
-    strict = cactus_label(cactus_preprocess(ring), 2)
-    print(f"odd core rejects at k=2: {strict.reason.name}")
-    out = cactus_chi2(ring)
-    print(f"but three colors work: chi_2 = {out.chi}, matches brute force =",
-          brute_chi(ring, 2).chi)
-    assert is_exact_coloring(ring, out.witness, 2)
+    aux = cactus_preprocess(ring)
+    res = cactus_label(aux)
+    print("odd core labels:", dict(enumerate(res.labels)))
+    out = cactus_extract_coloring(ring, aux, res)
+    print(f"the P core is odd, so the extraction needs {out.k} colors:", out.assign)
+    assert is_exact_coloring(ring, out, 2)
+    print(f"chi_2 = {cactus_chi2(ring).chi}, matches brute force =", brute_chi(ring, 2).chi)
 
     print("\ndefect 1 goes through perfect matchings:")
     print("  chi_1 of C8 =", cactus_chi1(cycle(8)).chi)

@@ -9,7 +9,7 @@ polynomial solvers for cactus and block graphs, executable hardness-gadget
 generators with solution lifting, and a command-line front end.
 """
 
-from .blockgraph import blockgraph_chi, blockgraph_solve, clique_factor
+from .blockgraph import blockgraph_chi, clique_factor
 from .cactus import (
     CactusAux,
     LabelResult,
@@ -83,7 +83,6 @@ from .graph_io import (
     load_graph,
     read_coloring,
     read_graph,
-    save_graph,
     sniff_format,
     write_coloring,
     write_graph,
@@ -97,11 +96,9 @@ from .graphs import (
     build_graph,
     connected_components,
     contract_partition,
-    has_perfect_matching,
     induced_subgraph,
     is_bipartite,
     is_chordal,
-    is_connected,
     is_d_regular,
     perfect_matchings,
     recognize,

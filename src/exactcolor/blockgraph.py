@@ -45,17 +45,6 @@ def clique_factor(
     return None if classes is None else sorted(classes)
 
 
-def blockgraph_solve(
-    g: Graph, k: int, d: int, bct: BlockCutTree | None = None
-) -> Coloring | None:
-    """Decide exact (k, d)-colorability of a block graph; witness on yes."""
-    outcome = blockgraph_chi(g, d, bct)
-    if outcome.is_infeasible or outcome.chi > k:
-        return None
-    w = outcome.witness
-    return Coloring(k, w.assign) if k != w.k else w
-
-
 def blockgraph_chi(
     g: Graph, d: int, bct: BlockCutTree | None = None
 ) -> SolveOutcome:

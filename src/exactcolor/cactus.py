@@ -12,12 +12,17 @@ graphs.block_cut_tree records as it closes each block:
   (still untaken) non-entry vertex must be M and takes all its vertices;
   every other cycle is P.  This forces the one cycle factor or shows
   there is none;
-* extract: take the rings in reverse, root first, painting M-cycles with
-  their entry vertex's color, P-cycles properly, and bridges with a
-  differing color.
+* extract: each M cycle is one class, and graphs.color_factor colors the
+  classes off the same sweep, root first.  An M ring's vertices share its
+  entry's class, and two cycles of a cactus share at most one vertex, so
+  a P ring or a bridge meets a new class at each non-entry vertex: the
+  bridge end takes the smallest color its entry lacks, and the P ring
+  alternates first fit, its last vertex also avoiding the entry's color.
 
-With two colors a P-cycle must alternate, so odd P-cycles reject; with
-three or more colors every cycle factor gives a coloring.
+The extraction uses the fewest colors: 1 when every component is one
+cycle, else 2 unless some P cycle is odd, which needs a third color, and
+three always suffice.  With two colors a P cycle must alternate, so an
+odd one rules k = 2 out; without a cycle factor no number of colors works.
 
 For defect 1 the value is min over perfect matchings M of chi(G/M), which
 lies in {1, 2, 3} for cacti.  graphs.block_factor runs the same sweep
@@ -36,16 +41,9 @@ from enum import Enum
 from functools import cached_property
 from typing import NamedTuple
 
-from .coloring import Coloring, INFEASIBLE, SolveOutcome, monochromatic
-from .errors import BadParameterError, IncompleteLabelingError, NotACactusError
-from .graphs import (
-    BlockCutTree,
-    Graph,
-    block_cut_tree,
-    block_factor,
-    color_factor,
-    is_d_regular,
-)
+from .coloring import Coloring, INFEASIBLE, SolveOutcome
+from .errors import IncompleteLabelingError, NotACactusError
+from .graphs import BlockCutTree, Graph, block_cut_tree, block_factor, color_factor
 
 M = "M"
 P = "P"
@@ -56,7 +54,6 @@ class NoReason(Enum):
 
     UNCOVERED_VERTEX = "uncovered_vertex"            # some vertex lies on no cycle
     TWO_SIMPLICIAL_CYCLES_TOUCH = "two_simplicial_cycles_touch"
-    ODD_P_CYCLE = "odd_p_cycle"                      # k = 2 only
     ALL_P_CLIQUE = "all_p_clique"                    # some vertex sees no M cycle
     ADJACENT_M = "adjacent_m"                        # a forced M cycle touches another M cycle
 
@@ -115,18 +112,16 @@ def cactus_preprocess(g: Graph, bct: BlockCutTree | None = None) -> CactusAux:
     return CactusAux(g=g, bct=bct)
 
 
-def cactus_label(aux: CactusAux, k: int = 2) -> LabelResult:
+def cactus_label(aux: CactusAux) -> LabelResult:
     """Assign M/P to every cycle or reject with a reason.
 
     One leaves-first pass over the sweep forces the cycle factor.  A cycle
     whose ring has a free non-entry vertex must be M and takes all its
     vertices; if one of them is already taken there is no factor.  All other
     cycles are P, and a root or bridge end that no M cycle took is left
-    uncovered.  k = 2 runs the strict variant (odd cycles may not be P); any
-    k >= 3 runs the relaxed variant without that check.
+    uncovered.  Whether the P cycles need a third color is for the
+    extraction to find.
     """
-    if k < 2:
-        raise BadParameterError("labeling applies to k >= 2")
     taken = [False] * aux.g.n
     labels = []
     for _, ring in aux.rings:
@@ -141,8 +136,6 @@ def cactus_label(aux: CactusAux, k: int = 2) -> LabelResult:
             labels.append(M)
             for w in ring:
                 taken[w] = True
-    if k == 2 and any(lab == P and len(cyc) % 2 for lab, cyc in zip(labels, aux.cycles)):
-        return LabelResult(None, NoReason.ODD_P_CYCLE)
     return LabelResult(tuple(labels))
 
 
@@ -156,66 +149,33 @@ def _reason(aux: CactusAux, found: NoReason) -> NoReason:
 
 
 def cactus_extract_coloring(
-    g: Graph, aux: CactusAux, labeling: LabelResult | tuple[str, ...], k: int = 2
+    g: Graph, aux: CactusAux, labeling: LabelResult | tuple[str, ...]
 ) -> Coloring:
-    """Turn a complete M/P labeling into an exact (k, 2)-coloring.
+    """Turn a complete M/P labeling into an exact (k, 2)-coloring with the fewest colors.
 
-    The rings of the block sweep are painted in reverse, roots with color 0.
-    The entry vertex fixes the ring: M-cycles copy its color, P-cycles and
-    bridges get an alternating (k = 2) or smallest-legal proper coloring.
+    Each M cycle is one class, and graphs.color_factor colors the classes
+    properly off the block sweep.
     """
     labels = labeling.labels if isinstance(labeling, LabelResult) else tuple(labeling)
     if labels is None or any(lab is None for lab in labels):
         raise IncompleteLabelingError("labeling is not complete")
-    if k < 2:
-        raise BadParameterError("extraction needs k >= 2")
-
-    color = [-1] * g.n
-
-    def smallest_except(*banned: int) -> int:
-        c = 0
-        while c in banned:
-            c += 1
-        if c >= k:
-            raise IncompleteLabelingError("labeling admits no coloring with this k")
-        return c
-
-    cycle_labels = reversed(labels)  # the cycles come in reverse too
-    for i, ring in reversed(aux.rings):
-        u = ring[0]
-        if i is None:
-            color[u] = 0
-        elif len(ring) > 2 and next(cycle_labels) == M:
-            for w in ring[1:]:
-                color[w] = color[u]
-        else:
-            prev = color[u]
-            for w in ring[1:]:  # the last vertex also differs from the entry
-                prev = color[w] = smallest_except(prev, color[u] if w == ring[-1] else prev)
-
+    classes = [cyc for lab, cyc in zip(labels, aux.cycles) if lab == M]
+    k, color = color_factor(g.n, aux.rings, classes, cyclic=True)
     return Coloring(k, tuple(color))
 
 
 def cactus_chi2(g: Graph, bct: BlockCutTree | None = None) -> SolveOutcome:
     """Exact 2-defective chromatic number of a cactus, with witness.
 
-    1 for disjoint unions of cycles; 2 when the strict labeling accepts; 3
-    when it rejects only an odd P cycle (three colors always suffice for an
-    outerplanar graph when any solution exists); infinite without a cycle
-    factor, which no number of colors mends.
+    Infinite without a cycle factor, which no number of colors mends;
+    otherwise the extraction's color count: 1, 2 or 3 (0 on no vertices).
     """
-    if g.n == 0:
-        return SolveOutcome.finite(0, Coloring(0, ()))
-    if is_d_regular(g, 2):
-        return SolveOutcome.finite(1, monochromatic(g.n))
     aux = cactus_preprocess(g, bct)
-    strict = cactus_label(aux, k=2)
-    if strict.ok:
-        return SolveOutcome.finite(2, cactus_extract_coloring(g, aux, strict, k=2))
-    if strict.reason != NoReason.ODD_P_CYCLE:
+    res = cactus_label(aux)
+    if not res.ok:
         return INFEASIBLE
-    relaxed = cactus_label(aux, k=3)
-    return SolveOutcome.finite(3, cactus_extract_coloring(g, aux, relaxed, k=3))
+    c = cactus_extract_coloring(g, aux, res)
+    return SolveOutcome.finite(c.k, c)
 
 
 def cactus_chi1(g: Graph, bct: BlockCutTree | None = None) -> SolveOutcome:

@@ -147,6 +147,8 @@ def gen_family(name: str, **params) -> Graph:
 
 def random_graph(n: int, p: float, seed: int) -> Graph:
     """Erdos-Renyi G(n, p) with a fixed seed."""
+    if not 0 <= p <= 1:  # also rejects NaN
+        raise BadParameterError("random_graph needs 0 <= p <= 1")
     rng = random.Random(seed)
     edges = [
         (i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p

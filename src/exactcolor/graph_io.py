@@ -183,11 +183,6 @@ def load_graph(path: str, fmt: str | None = None) -> Graph:
     return read_graph(data, fmt or sniff_format(data))
 
 
-def save_graph(g: Graph, path: str, fmt: str = EDGELIST) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(write_graph(g, fmt))
-
-
 # ---------------------------------------------------------------------------
 # Coloring files: one line "k", then one color index per vertex per line.
 # ---------------------------------------------------------------------------

@@ -122,10 +122,6 @@ def induced_subgraph(g: Graph, vertices) -> tuple[Graph, list[int]]:
     return build_graph(len(verts), edges), verts
 
 
-def is_connected(g: Graph) -> bool:
-    return g.n <= 1 or len(connected_components(g)) == 1
-
-
 def is_bipartite(g: Graph) -> tuple[bool, list[int] | None]:
     """BFS 2-coloring.  Returns (True, side list) or (False, None)."""
     side = [-1] * g.n
@@ -249,29 +245,6 @@ def block_cut_tree(g: Graph) -> BlockCutTree:
     )
 
 
-def cycle_order(block_verts, block_edges) -> list[int]:
-    """Vertices of a cycle block in cyclic order, starting at the smallest.
-
-    The walk leaves the start toward its smaller neighbor, so the result is
-    deterministic.
-    """
-    nbr: dict[int, list[int]] = {v: [] for v in block_verts}
-    for u, v in block_edges:
-        nbr[u].append(v)
-        nbr[v].append(u)
-    start = min(block_verts)
-    order = [start]
-    prev, cur = None, start
-    while True:
-        a, b = sorted(nbr[cur])
-        nxt = a if a != prev else b
-        if nxt == start:
-            break
-        order.append(nxt)
-        prev, cur = cur, nxt
-    return order
-
-
 def block_factor(n: int, sweep, r: int, cyclic: bool = False) -> list[tuple[int, ...]] | None:
     """A split of all n vertices into r-cliques inside blocks, or None if there is none.
 
@@ -328,13 +301,15 @@ def block_factor(n: int, sweep, r: int, cyclic: bool = False) -> list[tuple[int,
 def color_factor(n: int, sweep, classes, cyclic: bool = False) -> tuple[int, list[int]]:
     """An optimal proper coloring of the quotient by a block factor, as (k, color per vertex).
 
-    classes are block_factor's over the same sweep.  The rings are read in
-    reverse, root first: each ring's entry vertex has a colored class, and
-    every other class that touches the ring is new here.  A clique ring (or
-    a root) gives each new class the smallest color its ring lacks.  When
-    cyclic, a ring of three or more vertices is a cycle: each new run of
-    one class along it takes the smallest color that differs from the runs
-    before and after it, of which only the entry's can be colored.  Why k
+    classes are block_factor's over the same sweep, or the M cycles of a
+    cactus (cactus.cactus_label), which also cover every vertex.  The rings
+    are read in reverse, root first: each ring's entry vertex has a colored
+    class, and every other class that touches the ring is new here.  A
+    clique ring (or a root) gives each new class the smallest color its
+    ring lacks.  When cyclic, a ring of three or more vertices is a cycle:
+    each new run of one class along it takes the smallest color that
+    differs from the runs before and after it, of which only the entry's
+    can be colored (an M cycle is all the entry's run).  Why k
     is optimal: see the blockgraph and cactus modules.  Linear time.
     """
     cls = [0] * n
@@ -473,10 +448,16 @@ class GraphClasses:
         hub = max(range(g.n), key=g.degree)
         if g.degree(hub) != g.n - 1 or sum(len(a) == 3 for a in g.adj) < g.n - 1:
             return None
-        # degree 3 leaves each rim vertex two rim neighbors; the rim must be one cycle
-        rim = [v for v in range(g.n) if v != hub]
-        order = cycle_order(rim, [e for e in g.edges() if hub not in e])
-        return order + [hub] if len(order) == len(rim) else None
+        # degree 3 leaves each rim vertex two rim neighbors; walk them from
+        # the smallest toward its smaller one, and the rim must be one cycle
+        start = 1 if hub == 0 else 0
+        order = [start]
+        prev, cur = start, min(w for w in g.adj[start] if w != hub)
+        while cur != start:
+            order.append(cur)
+            a, b = (w for w in g.adj[cur] if w != hub)
+            prev, cur = cur, b if a == prev else a
+        return order + [hub] if len(order) == g.n - 1 else None
 
 
 def recognize(g: Graph) -> GraphClasses:
@@ -540,10 +521,6 @@ def perfect_matchings(g: Graph, limit: int | None = None) -> list[Matching]:
     finally:
         sys.setrecursionlimit(old_limit)
     return out
-
-
-def has_perfect_matching(g: Graph) -> bool:
-    return g.n % 2 == 0 and (g.n == 0 or bool(perfect_matchings(g, limit=1)))
 
 
 # ---------------------------------------------------------------------------

@@ -118,10 +118,10 @@ def permuted(g: Graph, perm) -> Graph:
     return build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
 
 
-def m_cycle_sets(g: Graph, k: int = 2):
+def m_cycle_sets(g: Graph):
     """The vertex sets of the cycles the cactus labeler marks M, or None on rejection."""
     aux = cactus_preprocess(g)
-    labels = cactus_label(aux, k).labels
+    labels = cactus_label(aux).labels
     if labels is None:
         return None
     return {frozenset(c) for c, lab in zip(aux.cycles, labels) if lab == "M"}

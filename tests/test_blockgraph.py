@@ -7,7 +7,6 @@ import pytest
 from exactcolor import (
     NotABlockGraphError,
     blockgraph_chi,
-    blockgraph_solve,
     block_cut_tree,
     brute_chi,
     brute_solve,
@@ -20,6 +19,7 @@ from exactcolor import (
     is_exact_coloring,
     path,
     random_block_graph,
+    solve,
     star,
 )
 
@@ -126,16 +126,16 @@ class TestCliqueFactor:
 
 class TestBlockgraphSolve:
     def test_two_triangles_bridge(self, two_triangles_bridge):
-        assert blockgraph_solve(two_triangles_bridge, 2, 2) is not None
-        assert blockgraph_solve(two_triangles_bridge, 1, 2) is None
+        assert solve(two_triangles_bridge, 2, 2, algorithm="blockgraph").verdict == "yes"
+        assert solve(two_triangles_bridge, 2, 1, algorithm="blockgraph").verdict == "no"
 
     def test_k4_d1(self):
-        w = blockgraph_solve(complete(4), 2, 1)
-        assert w is not None and is_exact_coloring(complete(4), w, 1)
+        rep = solve(complete(4), 1, 2, algorithm="blockgraph")
+        assert rep.verdict == "yes" and is_exact_coloring(complete(4), rep.witness, 1)
         assert brute_solve(complete(4), 2, 1) is not None
 
     def test_star_d2_no(self):
-        assert blockgraph_solve(star(4), 3, 2) is None
+        assert solve(star(4), 2, 3, algorithm="blockgraph").verdict == "no"
 
 
 class TestBlockgraphChi:

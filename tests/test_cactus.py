@@ -77,23 +77,21 @@ class TestPreprocess:
 class TestLabel:
     def test_single_triangle_monochromatic(self):
         aux = cactus_preprocess(triangle())
-        res = cactus_label(aux, 2)
+        res = cactus_label(aux)
         assert res.ok and res.labels == ("M",)
 
     def test_bowtie_rejects(self, bowtie):
-        res = cactus_label(cactus_preprocess(bowtie), 2)
+        res = cactus_label(cactus_preprocess(bowtie))
         assert not res.ok
         assert res.reason == NoReason.TWO_SIMPLICIAL_CYCLES_TOUCH
 
     def test_pendant_vertex_rejects(self):
-        res = cactus_label(cactus_preprocess(triangle_with_pendant()), 2)
+        res = cactus_label(cactus_preprocess(triangle_with_pendant()))
         assert res.reason == NoReason.UNCOVERED_VERTEX
-        res3 = cactus_label(cactus_preprocess(triangle_with_pendant()), 3)
-        assert res3.reason == NoReason.UNCOVERED_VERTEX
 
     def test_sunlet_center_is_polychromatic(self, sunlet_cactus):
         aux = cactus_preprocess(sunlet_cactus)
-        res = cactus_label(aux, 2)
+        res = cactus_label(aux)
         assert res.ok
         assert by_cycle(aux, res.labels) == {
             frozenset(range(4)): "P", **{petal(4, i): "M" for i in range(4)}
@@ -107,13 +105,15 @@ class TestLabel:
             edges += [(i, a), (i, b), (a, b)]
         g = build_graph(9, edges)
         aux = cactus_preprocess(g)
-        strict = cactus_label(aux, 2)
-        assert strict.reason == NoReason.ODD_P_CYCLE
-        relaxed = cactus_label(aux, 3)
-        assert relaxed.ok
-        assert by_cycle(aux, relaxed.labels) == {
+        res = cactus_label(aux)
+        assert res.ok
+        assert by_cycle(aux, res.labels) == {
             frozenset(range(3)): "P", **{petal(3, i): "M" for i in range(3)}
         }
+        # the one labeling is complete; the odd P core shows in the extraction
+        col = cactus_extract_coloring(g, aux, res)
+        assert col.k == 3
+        assert is_exact_coloring(g, col, 2)
 
     def test_all_p_clique_rejection(self):
         # vertex 0 sits in two C4s whose other corners all carry private
@@ -133,8 +133,7 @@ class TestLabel:
             edges += [(c, a), (c, b), (a, b)]
         g = build_graph(fresh, edges)
         aux = cactus_preprocess(g)
-        assert cactus_label(aux, 2).reason == NoReason.ALL_P_CLIQUE
-        assert cactus_label(aux, 3).reason == NoReason.ALL_P_CLIQUE
+        assert cactus_label(aux).reason == NoReason.ALL_P_CLIQUE
         assert cactus_chi2(g).is_infeasible
         assert brute_chi(g, 2).is_infeasible
 
@@ -160,8 +159,7 @@ class TestLabel:
             fresh = p_gadget(anchor, edges, fresh)
         g = build_graph(fresh, edges)
         aux = cactus_preprocess(g)
-        assert cactus_label(aux, 2).reason == NoReason.ADJACENT_M
-        assert cactus_label(aux, 3).reason == NoReason.ADJACENT_M
+        assert cactus_label(aux).reason == NoReason.ADJACENT_M
         assert cactus_chi2(g).is_infeasible
 
     def test_labeling_invariant_under_relabeling(self, sunlet_cactus):
@@ -175,41 +173,37 @@ class TestLabel:
             got = m_cycle_sets(permuted(sunlet_cactus, perm))
             assert got == {frozenset(perm[v] for v in c) for c in base}
 
-    def test_no_cycle_factor_reasons_agree_across_k(self):
-        # a vertex on two polychromatic triangles is left uncovered; k = 2
-        # names that, not the odd triangles it would have to alternate on
+    def test_no_cycle_factor_reason_names_the_missing_factor(self):
+        # a vertex on two polychromatic triangles is left uncovered; the
+        # reason names that, not the odd triangles around it
         for seed in range(40):
             g, _ = planted_cactus(60, seed, perturb="p_only")
-            aux = cactus_preprocess(g)
-            strict, relaxed = cactus_label(aux, 2), cactus_label(aux, 3)
-            assert strict.reason == relaxed.reason
-            assert strict.reason in (NoReason.ALL_P_CLIQUE, NoReason.ADJACENT_M)
+            reason = cactus_label(cactus_preprocess(g)).reason
+            assert reason in (NoReason.ALL_P_CLIQUE, NoReason.ADJACENT_M)
             assert cactus_chi2(g).is_infeasible
 
 
 class TestExtract:
     def test_single_triangle_all_zero(self):
         aux = cactus_preprocess(triangle())
-        res = cactus_label(aux, 2)
-        col = cactus_extract_coloring(triangle(), aux, res, 2)
-        assert col.assign == (0, 0, 0)
+        res = cactus_label(aux)
+        col = cactus_extract_coloring(triangle(), aux, res)
+        assert col == (1, (0, 0, 0))
 
     def test_two_triangles_bridge(self, two_triangles_bridge):
         g = two_triangles_bridge
         aux = cactus_preprocess(g)
-        res = cactus_label(aux, 2)
-        col = cactus_extract_coloring(g, aux, res, 2)
-        assert is_exact_coloring(g, col, 2)
+        res = cactus_label(aux)
+        col = cactus_extract_coloring(g, aux, res)
+        assert col.k == 2 and is_exact_coloring(g, col, 2)
         assert len(set(col.assign[:3])) == 1 and len(set(col.assign[3:])) == 1
         assert col.assign[0] != col.assign[3]
 
     def test_mixed_labels_extractions_validate(self, sunlet_cactus):
         aux = cactus_preprocess(sunlet_cactus)
-        res = cactus_label(aux, 2)
-        col = cactus_extract_coloring(sunlet_cactus, aux, res, 2)
-        assert is_exact_coloring(sunlet_cactus, col, 2)
-        col3 = cactus_extract_coloring(sunlet_cactus, aux, res, 3)
-        assert is_exact_coloring(sunlet_cactus, col3, 2)
+        res = cactus_label(aux)
+        col = cactus_extract_coloring(sunlet_cactus, aux, res)
+        assert col.k == 2 and is_exact_coloring(sunlet_cactus, col, 2)
 
 
 class TestCactusChi2:
@@ -276,11 +270,25 @@ class TestPlantedFactor:
     def test_labels_are_the_planted_factor(self, n):
         for seed in range(20):
             g, factor = planted_cactus(n, seed)
-            assert m_cycle_sets(g, 3) == set(factor)
+            assert m_cycle_sets(g) == set(factor)
             perm = list(range(g.n))
             random.Random(seed).shuffle(perm)
             want = {frozenset(perm[v] for v in c) for c in factor}
-            assert m_cycle_sets(permuted(g, perm), 3) == want
+            assert m_cycle_sets(permuted(g, perm)) == want
+
+    @pytest.mark.parametrize("n", [200, 2000])
+    def test_chi2_is_the_planted_value(self, n):
+        # 1 for one cycle, 3 if some polychromatic cycle is odd, else 2
+        for seed in range(20):
+            g, factor = planted_cactus(n, seed)
+            p_lengths = [len(c) for c in cactus_preprocess(g).cycles if frozenset(c) not in factor]
+            want = 1 if len(factor) == 1 else 3 if any(b % 2 for b in p_lengths) else 2
+            perm = list(range(g.n))
+            random.Random(seed).shuffle(perm)
+            for h in (g, permuted(g, perm)):
+                out = cactus_chi2(h)
+                assert out.chi == want, (n, seed)
+                assert is_exact_coloring(h, out.witness, 2)
 
 
 class TestCactusChi1:

@@ -228,6 +228,12 @@ class TestGenerate:
         assert (code, out) == (1, "")
         assert err == f"error: family {family} needs --{flag}\n"
 
+    @pytest.mark.parametrize("p", ["2.5", "-0.1", "nan"])
+    def test_random_graph_p_outside_0_1_exit_1(self, capsys, p):
+        code, out, err = run(capsys, "generate", "random-graph", "--n", "5", "--p", p)
+        assert (code, out) == (1, "")
+        assert err == "error: random_graph needs 0 <= p <= 1\n"
+
     def test_unknown_family_exit_1(self, capsys):
         code, _, err = run(capsys, "generate", "moebius", "--n", "5")
         assert code == 1 and "error" in err

@@ -6,17 +6,18 @@ from exactcolor import (
     cartesian_k2_complete,
     categorical_k2_complete,
     complete,
+    connected_components,
     cycle,
     gen_family,
     icosahedron,
     is_bipartite,
     is_chordal,
-    is_connected,
     is_d_regular,
     octahedron,
     petersen,
     random_block_graph,
     random_cactus,
+    random_graph,
     star,
     tightness_gadget,
     wheel,
@@ -109,6 +110,15 @@ class TestGenFamily:
         with pytest.raises(BadParameterError):
             gen_family("wheel", n=3)
 
+    @pytest.mark.parametrize("p", [-0.1, 1.5, float("nan"), float("inf")])
+    def test_random_graph_p_outside_0_1(self, p):
+        with pytest.raises(BadParameterError):
+            random_graph(5, p, seed=1)
+
+    def test_random_graph_p_at_the_ends(self):
+        assert random_graph(5, 0.0, seed=1).m == 0
+        assert random_graph(5, 1.0, seed=1) == complete(5)
+
 
 class TestRandomFamilies:
     @pytest.mark.parametrize("style", ["mixed", "bridged", "shared"])
@@ -116,14 +126,14 @@ class TestRandomFamilies:
     def test_cactus_is_cactus(self, seed, style):
         g = random_cactus(13, seed=seed, style=style)
         assert g.n == 13
-        assert is_connected(g)
+        assert len(connected_components(g)) == 1
         assert block_cut_tree(g).is_cactus
 
     @pytest.mark.parametrize("seed", range(6))
     def test_block_graph_is_block_graph(self, seed):
         g = random_block_graph(13, seed=seed)
         assert g.n == 13
-        assert is_connected(g)
+        assert len(connected_components(g)) == 1
         assert block_cut_tree(g).is_block_graph
         assert is_chordal(g)
 

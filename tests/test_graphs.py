@@ -24,7 +24,7 @@ from exactcolor import (
     recognize,
     tightness_gadget,
 )
-from exactcolor.graphs import block_factor, cycle_order
+from exactcolor.graphs import block_factor
 from conftest import perfect_matchings_filter
 
 
@@ -174,7 +174,15 @@ def test_cycle_order_is_the_ring_of_the_one_block(seed):
     n = rng.randint(3, 40)
     perm = rng.sample(range(n), n)
     g = build_graph(n, [(perm[i], perm[i - 1]) for i in range(n)])
-    assert recognize(g).cycle_order == cycle_order(range(n), g.edges())
+    order = recognize(g).cycle_order
+    assert sorted(order) == list(range(n))
+    assert all(g.has_edge(order[i - 1], order[i]) for i in range(n))
+    assert order[:2] == [0, min(g.adj[0])]  # from 0 toward its smaller neighbor
+    # the rim of a wheel is walked the same way, whichever vertex is the hub
+    for hub in (0, n):
+        rim = [v + (hub == 0) for v in order]
+        w = build_graph(n + 1, [(rim[i - 1], rim[i]) for i in range(n)] + [(hub, v) for v in rim])
+        assert recognize(w).wheel_order == rim + [hub]
 
 
 class TestBlockSweep:

@@ -11,7 +11,6 @@ from exactcolor import (
     connected_components,
     cycle,
     enumerate_regular_partitions,
-    has_perfect_matching,
     is_exact_coloring,
     path,
     perfect_matchings,
@@ -129,7 +128,7 @@ class TestChiViaQuotients:
     def test_tree_with_perfect_matching(self):
         # caterpillar tree with a perfect matching: quotient of a tree is 2-colorable
         t = build_graph(6, [(0, 1), (1, 2), (2, 3), (2, 4), (4, 5)])
-        assert has_perfect_matching(t)
+        assert perfect_matchings(t, limit=1)
         assert chi_via_quotients(t, 1).chi == 2
 
     def test_infeasible_when_no_partition(self):
@@ -168,7 +167,7 @@ class TestPaperBoundsAsProperties:
     def test_two_delta_minus_one_upper_bound(self, seed):
         # connected + perfect matching + finite value => chi_1 <= 2*maxdeg - 1
         g = random_graph(8, p=0.4, seed=400 + seed)
-        if len(connected_components(g)) != 1 or not has_perfect_matching(g):
+        if len(connected_components(g)) != 1 or not perfect_matchings(g, limit=1):
             return
         out = brute_chi(g, 1)
         if out.is_finite:

@@ -44,8 +44,8 @@ RECORDS = [
      "is_cactus=True, is_block_graph=True)"),
     (lambda: Matching(((0, 1),), True), lambda: Matching(edges=((0, 1),), perfect=True),
      Matching(((0, 1),)), "Matching(edges=((0, 1),), perfect=True)"),
-    (lambda: LabelResult(None, NoReason.ODD_P_CYCLE), lambda: LabelResult(labels=None, reason=NoReason.ODD_P_CYCLE),
-     LabelResult(("M",)), "LabelResult(labels=None, reason=<NoReason.ODD_P_CYCLE: 'odd_p_cycle'>)"),
+    (lambda: LabelResult(None, NoReason.ADJACENT_M), lambda: LabelResult(labels=None, reason=NoReason.ADJACENT_M),
+     LabelResult(("M",)), "LabelResult(labels=None, reason=<NoReason.ADJACENT_M: 'adjacent_m'>)"),
     (lambda: RegularPartition(((0, 1), (2, 3)), 1), lambda: RegularPartition(parts=((0, 1), (2, 3)), d=1),
      RegularPartition(((0, 1), (2, 3)), 0), "RegularPartition(parts=((0, 1), (2, 3)), d=1)"),
     (lambda: xc.NaeFormula(3, ((0, 1, 2),)), lambda: xc.parse_nae_formula("p nae 3 1\n1 2 3 0\n"),

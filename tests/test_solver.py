@@ -4,12 +4,14 @@ import sys
 import pytest
 
 import exactcolor as xc
-from exactcolor import graphs
+from exactcolor import cactus, graphs
+
+from conftest import planted_cactus
 
 
-def patch_graphs(monkeypatch, name, replacement):
-    """Replace graphs.<name> in every exactcolor module that imports it."""
-    original = getattr(graphs, name)
+def patch_graphs(monkeypatch, name, replacement, module=graphs):
+    """Replace module.<name> (graphs by default) in every exactcolor module that holds it."""
+    original = getattr(module, name)
     for mod_name, mod in list(sys.modules.items()):
         if mod_name == "exactcolor" or mod_name.startswith("exactcolor."):
             for attr, value in list(vars(mod).items()):
@@ -17,16 +19,16 @@ def patch_graphs(monkeypatch, name, replacement):
                     monkeypatch.setattr(mod, attr, replacement)
 
 
-def count_calls(monkeypatch, name):
-    """Count calls of graphs.<name>, patched in every exactcolor module that imports it."""
-    original = getattr(graphs, name)
+def count_calls(monkeypatch, name, module=graphs):
+    """Count calls of module.<name> (graphs by default), patched wherever it is held."""
+    original = getattr(module, name)
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    patch_graphs(monkeypatch, name, counted)
+    patch_graphs(monkeypatch, name, counted, module)
     return calls
 
 
@@ -119,6 +121,17 @@ def test_polynomial_routes_find_the_components_once(monkeypatch, g, d, algorithm
     assert xc.solve(g, d).algorithm == algorithm
     # the odd-d precheck and the tree test read the orders the block-cut search records
     assert calls == []
+
+
+def test_d2_cactus_solve_labels_once(monkeypatch):
+    # an odd polychromatic cycle needs a third color: one labeling and one
+    # extraction find it, with no second labeling pass
+    labels = count_calls(monkeypatch, "cactus_label", cactus)
+    extracts = count_calls(monkeypatch, "cactus_extract_coloring", cactus)
+    g, _ = planted_cactus(200, seed=0)
+    rep = xc.solve(g, 2)
+    assert (rep.chi, rep.algorithm) == (3, "cactus")
+    assert (len(labels), len(extracts)) == (1, 1)
 
 
 @pytest.mark.parametrize("style", ["mixed", "bridged", "shared", "petaled"])
