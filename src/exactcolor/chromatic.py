@@ -2,11 +2,12 @@
 
 Chordal graphs take a mandatory fast path: greedy coloring along the
 maximum-cardinality-search order is optimal and simultaneously yields the
-clique number.  Everything else goes through iterative-deepening branch and
-bound between an exact clique lower bound and a greedy upper bound, with a
-node budget that raises instead of guessing.  Each budget parameter takes a
-node count or a `_Budget` shared with the caller, so one solve can charge
-every search it runs to a single budget.
+clique number.  Everything else tries each k from an exact clique lower
+bound up to a greedy upper bound with `_exact_k_coloring`, the package's
+one exact search (DSATUR order, with an exactly-d check that the oracle
+uses at d >= 1), under a node budget that raises instead of guessing.
+Each budget parameter takes a node count or a `_Budget` shared with the
+caller, so one solve can charge every search it runs to a single budget.
 
 Intended for graphs of moderate size (tens of vertices) and for chordal
 graphs of any size; quotients by a block factor use graphs.color_factor.
@@ -117,56 +118,85 @@ def clique_number(g: Graph, budget: int | _Budget = DEFAULT_BUDGET) -> int:
     return len(max_clique(g, budget))
 
 
-def _exact_k_coloring(g: Graph, k: int, b: _Budget) -> list[int] | None:
-    """Backtracking proper k-coloring with DSATUR ordering, on an explicit stack.
+def _exact_k_coloring(g: Graph, k: int, d: int, b: _Budget) -> list[int] | None:
+    """Backtracking exact (k, d)-coloring in DSATUR order, on an explicit stack.
 
-    Symmetry is broken by letting a vertex introduce at most one color that
-    is new so far, so color classes appear in canonical order.
+    Each step colors the uncolored vertex with the most distinct neighbor
+    colors (then the highest degree, then the lowest index), and may open at
+    most one new color; the pick depends only on the coloring up to a
+    renaming of colors, so each class pattern is tried once.  A move must
+    leave v and, when d > 0, each colored neighbor with at most d neighbors
+    of its own color and enough uncolored ones to reach d, so a vertex's
+    count is checked final when its last neighbor is placed.  At d = 0 this
+    is DSATUR's proper coloring.  One budget node at the start and per move.
     """
     n = g.n
     if n == 0:
         return []
     if k <= 0:
         return None
+    k = min(k, n)  # a search never uses more than n colors
     adj = g.adj
+    deg = [len(a) for a in adj]
     color = [-1] * n
-    nbr_colors: list[set[int]] = [set() for _ in range(n)]
+    # cnt[v][c]: neighbors of v colored c; sat[v]: the nonzero entries of cnt[v]
+    cnt = [[0] * k for _ in range(n)]
+    sat = [0] * n
     # a lazy max-heap on (saturation, degree, -v): each uncolored vertex has an
     # entry with its current saturation; entries of colored vertices and
     # outdated saturations are dropped when they reach the top
-    heap = [(0, -len(adj[v]), v) for v in range(n)]
+    heap = [(0, -deg[v], v) for v in range(n)]
     heapq.heapify(heap)
-
-    def push(u: int) -> None:
-        heapq.heappush(heap, (-len(nbr_colors[u]), -len(adj[u]), u))
+    push = heapq.heappush
 
     def pick() -> int:
         if len(heap) > 4 * n:  # mostly dropped entries: rebuild from the uncolored vertices
-            heap[:] = [(-len(nbr_colors[u]), -len(adj[u]), u) for u in range(n) if color[u] == -1]
+            heap[:] = [(-sat[u], -deg[u], u) for u in range(n) if color[u] == -1]
             heapq.heapify(heap)
         while True:
             s, _, v = heap[0]
-            if color[v] == -1 and -s == len(nbr_colors[v]):
+            if color[v] == -1 and -s == sat[v]:
                 return v
             heapq.heappop(heap)
 
-    # one entry per colored vertex: (v, its color, colors used before it, the
-    # neighbors that color was new to); each step spends one budget node
-    stack: list[tuple[int, int, int, list[int]]] = []
+    def place(v: int, c: int) -> None:
+        color[v] = c
+        for u in adj[v]:
+            cu = cnt[u]
+            cu[c] += 1
+            if cu[c] == 1:
+                sat[u] += 1
+                if color[u] == -1:
+                    push(heap, (-sat[u], -deg[u], u))
+
+    def unplace(v: int, c: int) -> None:
+        color[v] = -1
+        for u in adj[v]:
+            cu = cnt[u]
+            cu[c] -= 1
+            if not cu[c]:
+                sat[u] -= 1
+                if color[u] == -1:
+                    push(heap, (-sat[u], -deg[u], u))
+
+    stack: list[tuple[int, int, int]] = []  # (v, its color, colors used before it)
     b.spend()
     v, c, used = pick(), 0, 0
     while True:
         limit = min(k, used + 1)
-        while c < limit and c in nbr_colors[v]:
+        cv = cnt[v]
+        low = d - deg[v] + sum(cv)  # v's uncolored neighbors must be able to lift it to d
+        while c < limit and not low <= cv[c] <= d:
             c += 1
         if c < limit:
-            color[v] = c
-            touched = [u for u in adj[v] if c not in nbr_colors[u]]
-            for u in touched:
-                nbr_colors[u].add(c)
-                if color[u] == -1:
-                    push(u)
-            stack.append((v, c, used, touched))
+            place(v, c)
+            # at d = 0 a move cannot break a neighbor; u has deg[u] - sum(cnt[u]) uncolored ones
+            if d and not all(color[u] == -1 or d - deg[u] + sum(cnt[u]) <= cnt[u][color[u]] <= d
+                             for u in adj[v]):
+                unplace(v, c)
+                c += 1
+                continue
+            stack.append((v, c, used))
             b.spend()
             if len(stack) == n:
                 return color
@@ -174,13 +204,9 @@ def _exact_k_coloring(g: Graph, k: int, b: _Budget) -> list[int] | None:
         elif not stack:
             return None
         else:
-            v, c, used, touched = stack.pop()
-            for u in touched:
-                nbr_colors[u].remove(c)
-                if color[u] == -1:
-                    push(u)
-            color[v] = -1
-            push(v)
+            v, c, used = stack.pop()
+            unplace(v, c)
+            push(heap, (-sat[v], -deg[v], v))
             c += 1
 
 
@@ -193,7 +219,7 @@ def _chromatic_connected(g: Graph, b: _Budget) -> tuple[int, list[int]]:
     upper_coloring = greedy_coloring(g)
     upper = max(upper_coloring, default=-1) + 1
     for k in range(lower, upper):
-        attempt = _exact_k_coloring(g, k, b)
+        attempt = _exact_k_coloring(g, k, 0, b)
         if attempt is not None:
             return k, attempt
     return upper, upper_coloring

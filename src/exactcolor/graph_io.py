@@ -135,6 +135,8 @@ def _parse_dimacs(text: str) -> Graph:
                 raise ParseError("non-integer endpoint", lineno) from None
             if u < 1 or v < 1:
                 raise ParseError("DIMACS vertices are 1-based", lineno)
+            if max(u, v) > header[0]:
+                raise ParseError(f"vertex {max(u, v)} exceeds n = {header[0]}", lineno)
             edges.append((u - 1, v - 1))
         else:
             raise ParseError(f"unknown line type {fields[0]!r}", lineno)

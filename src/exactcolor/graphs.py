@@ -309,8 +309,8 @@ def color_factor(n: int, sweep, classes, cyclic: bool = False) -> tuple[int, lis
     ring lacks.  When cyclic, a ring of three or more vertices is a cycle:
     each new run of one class along it takes the smallest color that
     differs from the runs before and after it, of which only the entry's
-    can be colored (an M cycle is all the entry's run).  Why k
-    is optimal: see the blockgraph and cactus modules.  Linear time.
+    can be colored; an M cycle is all the entry's run and is skipped.  Why
+    k is optimal: see the blockgraph and cactus modules.  Linear time.
     """
     cls = [0] * n
     for i, c in enumerate(classes):
@@ -319,6 +319,8 @@ def color_factor(n: int, sweep, classes, cyclic: bool = False) -> tuple[int, lis
     ccolor = [-1] * len(classes)
     for _, ring in reversed(sweep):
         if cyclic and len(ring) > 2:
+            if cls[ring[1]] == cls[ring[-1]] == cls[ring[0]]:
+                continue  # an M cycle: all of it is the entry's class
             b = len(ring)
             for j in range(1, b):
                 x = cls[ring[j]]

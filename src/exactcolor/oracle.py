@@ -1,9 +1,10 @@
 """Ground-truth solvers for exact (k, d)-coloring on small graphs.
 
-Two independent routes are provided on purpose:
+Two routes are provided on purpose; they share only the exact search,
+which the first runs at d and the second at d = 0 on each quotient:
 
 * ``brute_solve`` / ``brute_chi``: complete backtracking over colorings in
-  fixed vertex order with defect-aware pruning.
+  DSATUR order with the exactly-d check (chromatic._exact_k_coloring).
 * ``chi_via_quotients``: enumerate partitions of the vertex set into
   connected d-regular induced subgraphs, contract each, and take the minimum
   chromatic number of the quotients; the witness colors each part with its
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .chromatic import DEFAULT_BUDGET, _Budget, chromatic_number
+from .chromatic import DEFAULT_BUDGET, _Budget, _exact_k_coloring, chromatic_number
 from .closedform import clique_lower_bound
 from .coloring import (
     Coloring,
@@ -35,77 +36,6 @@ from .coloring import (
 )
 from .errors import BadParameterError
 from .graphs import BlockCutTree, Graph, block_cut_tree, connected_components, contract_partition
-
-
-def _solve_component(g: Graph, k: int, d: int, b: _Budget) -> list[int] | None:
-    """Backtracking search on a connected graph; returns a color list or None.
-
-    Vertices are colored in index order.  Color c is allowed for vertex v
-    only if c <= 1 + max color used before v, so each class pattern is tried
-    once.  Pruning: a vertex may never exceed d same-colored neighbors; a
-    vertex whose neighborhood is fully colored must sit at exactly d; a
-    vertex whose uncolored neighbors cannot lift it to d is a dead end.
-    The search keeps its own stack (one level per vertex, so no recursion
-    limit) and spends one budget node per vertex it reaches.
-    """
-    n = g.n
-    if n == 0:
-        return []
-    if k < 1:
-        return None
-    color = [-1] * n
-    same = [0] * n
-    colored_nb = [0] * n
-    deg = [len(a) for a in g.adj]
-    lower_nb = [tuple(u for u in g.adj[v] if u < v) for v in range(n)]
-    used = [0] * (n + 1)      # used[v]: colors in use before vertex v
-    next_c = [0] * (n + 1)    # next color to try at vertex v
-
-    def uncolor(v: int) -> None:
-        c = color[v]
-        for u in lower_nb[v]:
-            if color[u] == c:
-                same[u] -= 1
-        for u in g.adj[v]:
-            colored_nb[u] -= 1
-        color[v] = -1
-
-    b.spend()
-    v = 0
-    while v < n:
-        for c in range(next_c[v], min(k - 1, used[v]) + 1):
-            same_v = sum(1 for u in lower_nb[v] if color[u] == c)
-            unc_v = deg[v] - colored_nb[v]
-            if same_v > d or same_v + unc_v < d or (unc_v == 0 and same_v != d):
-                continue
-            color[v] = c
-            same[v] = same_v
-            for u in g.adj[v]:
-                colored_nb[u] += 1
-            for u in lower_nb[v]:
-                if color[u] == c:
-                    same[u] += 1
-            ok = True
-            for u in lower_nb[v]:
-                unc_u = deg[u] - colored_nb[u]
-                if same[u] > d or same[u] + unc_u < d or (unc_u == 0 and same[u] != d):
-                    ok = False
-                    break
-            if ok:
-                next_c[v] = c + 1
-                used[v + 1] = max(used[v], c + 1)
-                next_c[v + 1] = 0
-                v += 1
-                b.spend()
-                break
-            uncolor(v)
-        else:
-            # every color of v failed: back up to the previous vertex
-            if v == 0:
-                return None
-            v -= 1
-            uncolor(v)
-    return color
 
 
 def brute_solve(
@@ -129,7 +59,7 @@ def brute_solve(
     b = _Budget.of(budget)
 
     def solve_one(h: Graph):
-        color = _solve_component(h, k, d, b)
+        color = _exact_k_coloring(h, k, d, b)
         return None if color is None else (k, color)
 
     return solve_by_component(g, comps, solve_one)
@@ -177,7 +107,7 @@ def brute_chi(
     def smallest_k(h: Graph):
         cap = next(caps)
         for k in range(min(clique_lower_bound(h, d, b), cap), cap + 1):
-            color = _solve_component(h, k, d, b)
+            color = _exact_k_coloring(h, k, d, b)
             if color is not None:
                 return k, color
         return None

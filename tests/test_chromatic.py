@@ -174,6 +174,11 @@ def max_clique_by_scan(g, b):
     return sorted(best)
 
 
+def proper_k_coloring(g, k, b):
+    """The one exact search at d = 0."""
+    return _exact_k_coloring(g, k, 0, b)
+
+
 def search(fn, g, k, b):
     """fn's coloring, or the exception it raised on running out of budget."""
     try:
@@ -193,7 +198,7 @@ class TestSearchOrder:
             upper = max(greedy_coloring(g), default=-1) + 1
             for k in range(upper + 1):
                 mine, ref = _Budget(600), _Budget(600)
-                assert search(_exact_k_coloring, g, k, mine) == \
+                assert search(proper_k_coloring, g, k, mine) == \
                     search(exact_k_coloring_by_scan, g, k, ref), seed
                 assert mine.left == ref.left, seed
                 deep += mine.left < 600 - 2 * n

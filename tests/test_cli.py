@@ -124,6 +124,13 @@ class TestSolve:
         assert (code, out) == (1, "")
         assert err == "error: line 3: not UTF-8 text\n"
 
+    def test_dimacs_endpoint_above_n_exit_1(self, capsys, tmp_path):
+        p = tmp_path / "g.dimacs"
+        p.write_text("p edge 5 1\ne 5 6\n")
+        code, out, err = run(capsys, "solve", "--d", "1", "--chi", str(p), "--format", "dimacs")
+        assert (code, out) == (1, "")
+        assert err == "error: line 2: vertex 6 exceeds n = 5\n"
+
     def test_directory_path_exit_1(self, capsys, tmp_path):
         code, out, err = run(capsys, "solve", "--d", "1", "--chi", str(tmp_path))
         assert (code, out) == (1, "")

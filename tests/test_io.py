@@ -166,6 +166,12 @@ class TestDimacs:
         with pytest.raises(ParseError):
             read_graph("p edge 2 1\ne 0 1\n", fmt="dimacs")
 
+    def test_endpoint_above_n_names_the_file_vertex_and_line(self):
+        with pytest.raises(ParseError) as info:
+            read_graph("p edge 5 1\ne 5 6\n", fmt="dimacs")
+        assert info.value.line == 2
+        assert str(info.value) == "line 2: vertex 6 exceeds n = 5"
+
     def test_header_mismatch(self):
         with pytest.raises(InconsistentHeaderError):
             read_graph("p edge 3 5\ne 1 2\n", fmt="dimacs")

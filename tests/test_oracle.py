@@ -17,6 +17,7 @@ from exactcolor import (
     petersen,
     random_graph,
     tightness_gadget,
+    wheel,
 )
 from conftest import exact_coloring_exists_naive, regular_partitions_filter
 
@@ -36,11 +37,20 @@ class TestBruteSolve:
 
     @pytest.mark.parametrize("seed", range(12))
     def test_agrees_with_naive_enumeration(self, seed):
-        g = random_graph(6, p=0.45, seed=seed)
-        for d in (1, 2):
-            for k in (1, 2, 3):
-                got = brute_solve(g, k, d) is not None
-                assert got == exact_coloring_exists_naive(g, k, d)
+        # 25 random G(n <= 7, p) per seed, 300 in all.  With d >= 1 a class
+        # has at least two vertices, so on 7 vertices three colors are enough
+        # whenever an exact coloring exists, and brute_chi is the smallest.
+        for i in range(25):
+            s = 25 * seed + i
+            g = random_graph(1 + s % 7, p=0.2 + 0.6 * (s % 5) / 4, seed=s)
+            for d in (1, 2, 3):
+                naive = [exact_coloring_exists_naive(g, k, d) for k in (1, 2, 3)]
+                assert [brute_solve(g, k, d) is not None for k in (1, 2, 3)] == naive, (s, d)
+                out = brute_chi(g, d)
+                if True in naive:
+                    assert out.chi == naive.index(True) + 1, (s, d)
+                else:
+                    assert out.is_infeasible, (s, d)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_monotone_in_k(self, seed):
@@ -64,6 +74,16 @@ class TestBruteChi:
     def test_witness_validates(self):
         out = brute_chi(cycle(8), 1)
         assert out.chi == 2 and is_exact_coloring(cycle(8), out.witness, 1)
+
+    @pytest.mark.parametrize("n", (16, 18, 20))
+    def test_wheels_at_d2_are_refuted_within_1000_nodes(self, n):
+        # the hub is picked first, so its count is checked from the first move
+        assert brute_chi(wheel(n), 2, budget=1000).is_infeasible
+
+    def test_dense_graph_at_d1_within_20000_nodes(self):
+        g = random_graph(24, 0.5, seed=1)
+        out = brute_chi(g, 1, budget=20_000)
+        assert out.chi == 5 and is_exact_coloring(g, out.witness, 1)
 
     def test_disjoint_union_takes_max(self):
         # triangle (chi_2 = 1) next to a K6 (chi_1 = 3): disjoint answers merge
