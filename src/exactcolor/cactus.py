@@ -122,20 +122,23 @@ def cactus_label(aux: CactusAux) -> LabelResult:
     uncovered.  Whether the P cycles need a third color is for the
     extraction to find.
     """
-    taken = [False] * aux.g.n
+    taken = bytearray(aux.g.n)
+    is_taken = taken.__getitem__
     labels = []
     for _, ring in aux.rings:
         if len(ring) < 3:  # a root or a bridge: its last vertex must be taken
             if not taken[ring[-1]]:
                 return LabelResult(None, _reason(aux, NoReason.ALL_P_CLIQUE))
-        elif all(taken[w] for w in ring[1:]):
-            labels.append(P)
-        elif any(taken[w] for w in ring):  # partly taken, or its entry vertex is
-            return LabelResult(None, _reason(aux, NoReason.ADJACENT_M))
-        else:
+            continue
+        count = sum(map(is_taken, ring))
+        if not count:
             labels.append(M)
             for w in ring:
-                taken[w] = True
+                taken[w] = 1
+        elif count - taken[ring[0]] == len(ring) - 1:  # every non-entry vertex
+            labels.append(P)
+        else:  # partly taken, or its entry vertex is
+            return LabelResult(None, _reason(aux, NoReason.ADJACENT_M))
     return LabelResult(tuple(labels))
 
 

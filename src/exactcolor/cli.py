@@ -9,6 +9,7 @@ invalid.
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import json
 import sys
@@ -91,7 +92,7 @@ def cmd_generate(args) -> int:
 _CHECK_CAP = 40  # brute-force round-trip ceiling (target vertices)
 
 
-def _check_reduction(kind, source_yes, target, k, d, rmap) -> None:
+def _check_reduction(source_yes, target, k, d, rmap) -> None:
     if target.n > _CHECK_CAP:
         raise ExactColoringError(
             f"--check needs a target with at most {_CHECK_CAP} vertices (got {target.n})"
@@ -137,7 +138,7 @@ def cmd_reduce(args) -> int:
     _emit(write_graph(target, out_fmt), args.output, sys.stdout)
     _emit(rmap.to_json(), args.map or (args.output and args.output + ".map.json"), sys.stderr)
     if args.check:
-        _check_reduction(args.construction, source_yes, target, check_k, check_d, rmap)
+        _check_reduction(source_yes, target, check_k, check_d, rmap)
     return EXIT_ANSWERED
 
 
@@ -198,9 +199,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main uses, built on first use and kept for the process.
+
+    parse_args only reads it: each call fills a new Namespace, and a usage
+    error leaves through SystemExit without changing it.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     # A command allocates millions of acyclic tuples and lists and leaves no
     # cyclic garbage that grows with the graph, so the cyclic collector would
     # only rescan them; it is paused for the command and then restored.

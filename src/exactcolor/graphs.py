@@ -9,6 +9,7 @@ rejected because they change the semantics of degree-based definitions.
 from __future__ import annotations
 
 import heapq
+import operator
 import sys
 from collections import deque
 from functools import cached_property
@@ -70,18 +71,31 @@ def build_graph(n: int, edges) -> Graph:
     """Build a graph from an edge list, validating and normalizing it.
 
     Endpoints must lie in [0, n); self-loops raise SelfLoopError.  Duplicate
-    edges (in either orientation) collapse to one.
+    edges (in either orientation) collapse to one.  Pairs (u, v) with u < v
+    in strictly increasing order, as Graph.edges and write_graph list them,
+    leave every neighbor list sorted and distinct, so they skip that step.
     """
     if n < 0:
         raise OutOfRangeError("vertex count must be nonnegative")
     nbr: list[list[int]] = [[] for _ in range(n)]  # deduplicated at the end: sets cost 5x the memory
+    ordered = True
+    pu = pv = -1
     for u, v in edges:
-        if not (0 <= u < n and 0 <= v < n):
-            raise OutOfRangeError(f"edge ({u}, {v}) has an endpoint outside [0, {n})")
-        if u == v:
-            raise SelfLoopError(f"self-loop at vertex {u}")
+        if 0 <= u < v < n:
+            if v <= pv and u == pu or u < pu:
+                ordered = False
+            pu = u
+            pv = v
+        else:
+            if not (0 <= u < n and 0 <= v < n):
+                raise OutOfRangeError(f"edge ({u}, {v}) has an endpoint outside [0, {n})")
+            if u == v:
+                raise SelfLoopError(f"self-loop at vertex {u}")
+            ordered = False
         nbr[u].append(v)
         nbr[v].append(u)
+    if ordered:
+        return Graph(n, tuple(map(tuple, nbr)))
     return Graph(n, tuple(map(tuple, map(sorted, map(set, nbr)))))
 
 
@@ -173,24 +187,29 @@ def block_cut_tree(g: Graph) -> BlockCutTree:
     """Hopcroft-Tarjan biconnected components, iteratively (no recursion limit).
 
     A block closes when the search returns from v to u with low[v] >=
-    disc[u].  Its edges are those counted since the search reached v, so
-    only their running count is kept; its ring is u and the vertices pushed
-    on the vertex stack since v, which on a cycle run in cyclic order.  The
-    class tests read its size b and edge count e: a block of three or more
-    vertices has e >= b, with equality only on a cycle, and it is a clique
-    iff 2e = b(b - 1).  Each edge is counted from its later end, the tree
-    edge to the parent included: that edge lowers low[v] to disc[u] at
-    most, which changes neither test against disc[u].
+    disc[u].  Its ring is u and the vertices pushed on the vertex stack
+    since v, which on a cycle run in cyclic order.  The tree edge to the
+    parent also lowers low[v], to disc[u] at most, which changes no test
+    against disc[u].
+
+    The classes come from the block sizes b_B alone, with no edge count.
+    Let c be the number of components.  Every edge lies in one block, and
+    the blocks and cut vertices of a component form a tree, so
+    sum_B (b_B - 1) = n - c and, with e_B the edges of block B,
+    sum_B (e_B - b_B + 1) = m - n + c.  A block of three or more vertices
+    is 2-connected, so it adds at least 1, and exactly 1 only when it is a
+    cycle; an edge adds 0.  So g is a cactus iff m - n + c equals the number
+    of blocks with three or more vertices.  And e_B <= b_B(b_B - 1) / 2
+    with equality only on a clique, so g is a block graph iff
+    sum_B b_B(b_B - 1) = 2m.
     """
     n, adj = g.n, g.adj
     disc = [-1] * n
     low = [0] * n
-    height = [0] * n        # edge count before the tree edge into v
     vpos = [0] * n          # index of v in the vertex stack
     vstack: list[int] = []
-    edges = timer = 0
+    timer = 0
     blocks, sweep, orders = [], [], []
-    cactus = block_graph = True
 
     for root in range(n):
         if disc[root] != -1:
@@ -205,17 +224,14 @@ def block_cut_tree(g: Graph) -> BlockCutTree:
                 dw = disc[w]
                 if dw == -1:
                     low[v] = lv
-                    height[w] = edges
                     vpos[w] = len(vstack)
                     vstack.append(w)
                     disc[w] = low[w] = timer
                     timer += 1
                     stack.append((w, iter(adj[w])))
                     break
-                if dw < dv:
-                    edges += 1
-                    if dw < lv:
-                        lv = dw
+                if dw < lv:
+                    lv = dw
             else:
                 stack.pop()
                 if not stack:
@@ -226,22 +242,18 @@ def block_cut_tree(g: Graph) -> BlockCutTree:
                 if lv >= disc[u]:
                     ring = (u, *vstack[vpos[v]:])
                     del vstack[vpos[v]:]
-                    e = edges - height[v]
-                    edges = height[v]
-                    b = len(ring)
-                    cactus = cactus and e <= b
-                    block_graph = block_graph and 2 * e == b * (b - 1)
                     sweep.append((len(blocks), ring))
                     blocks.append(ring)
         sweep.append((None, (root,)))
         orders.append(timer - disc[root])  # the component's vertices are numbered last
 
+    sizes = list(map(len, blocks))  # every block has two or more vertices
     return BlockCutTree(
         blocks=tuple(blocks),
         sweep=tuple(sweep),
         component_orders=tuple(orders),
-        is_cactus=cactus,
-        is_block_graph=block_graph,
+        is_cactus=g.m - n + len(orders) == len(sizes) - sizes.count(2),
+        is_block_graph=sum(map(operator.mul, sizes, sizes)) - sum(sizes) == 2 * g.m,
     )
 
 
@@ -318,10 +330,16 @@ def color_factor(n: int, sweep, classes, cyclic: bool = False) -> tuple[int, lis
             cls[v] = i
     ccolor = [-1] * len(classes)
     for _, ring in reversed(sweep):
-        if cyclic and len(ring) > 2:
+        b = len(ring)
+        if b == 1:  # a root, whose class is new
+            ccolor[cls[ring[0]]] = 0
+        elif b == 2:  # a bridge: a new class at its far end avoids the entry's color
+            x = cls[ring[1]]
+            if ccolor[x] == -1:
+                ccolor[x] = 1 if ccolor[cls[ring[0]]] == 0 else 0
+        elif cyclic:
             if cls[ring[1]] == cls[ring[-1]] == cls[ring[0]]:
                 continue  # an M cycle: all of it is the entry's class
-            b = len(ring)
             for j in range(1, b):
                 x = cls[ring[j]]
                 if ccolor[x] == -1:  # a new run, of one vertex or two
@@ -331,7 +349,7 @@ def color_factor(n: int, sweep, classes, cyclic: bool = False) -> tuple[int, lis
                     while c in banned:
                         c += 1
                     ccolor[x] = c
-        else:  # a clique, or a root: a ring of one vertex
+        else:  # a clique of three or more vertices
             used = set()
             c = 0
             for w in ring:
@@ -341,7 +359,7 @@ def color_factor(n: int, sweep, classes, cyclic: bool = False) -> tuple[int, lis
                         c += 1
                     ccolor[x] = c
                 used.add(ccolor[x])
-    color = [ccolor[x] for x in cls]
+    color = list(map(ccolor.__getitem__, cls))
     return max(color, default=-1) + 1, color
 
 

@@ -16,6 +16,7 @@ from exactcolor import (
     random_cactus,
 )
 from exactcolor.graphs import block_factor
+from conftest import permuted
 
 nx = pytest.importorskip("networkx")
 
@@ -34,8 +35,21 @@ def random_graph(n, p, seed):
     return build_graph(n, [e for e in combinations(range(n), 2) if rng.random() < p])
 
 
+def disjoint_union(*graphs):
+    """The graphs side by side, the vertices of each numbered after the ones before."""
+    edges, offset = [], 0
+    for g in graphs:
+        edges += [(u + offset, v + offset) for u, v in g.edges()]
+        offset += g.n
+    return build_graph(offset, edges)
+
+
 def sample_graphs():
-    """Sparse and dense random graphs (often disconnected), cacti and block graphs."""
+    """Sparse and dense random graphs (often disconnected), cacti and block graphs.
+
+    The class flags count components, so the sample also holds disjoint
+    unions of a cactus with isolated vertices and with a non-cactus.
+    """
     for seed in range(60):
         n = 1 + seed % 30
         yield random_graph(n, (0.5 + seed % 5) / n, seed)
@@ -45,6 +59,16 @@ def sample_graphs():
         for style in STYLES:
             yield random_cactus(n, seed=n, style=style)
         yield random_block_graph(n, seed=n)
+    diamond = build_graph(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
+    for seed in range(24):
+        cactus = random_cactus(3 + 3 * seed, seed=seed, style=STYLES[seed % 4])
+        other = (diamond, random_block_graph(5 + seed, seed=seed),
+                 random_graph(6, 0.8, 200 + seed))[seed % 3]
+        isolated = build_graph(1 + seed % 3, [])
+        yield disjoint_union(cactus, isolated)
+        yield disjoint_union(isolated, cactus, other)
+        union = disjoint_union(other, cactus, isolated, cactus)
+        yield permuted(union, random.Random(seed).sample(range(union.n), union.n))
 
 
 @pytest.mark.parametrize("style", STYLES)

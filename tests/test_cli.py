@@ -15,6 +15,8 @@ from exactcolor import (
     write_coloring,
     write_graph,
 )
+from exactcolor import cli
+from exactcolor.chromatic import DEFAULT_BUDGET
 from exactcolor.cli import main
 
 SCHEMA = json.loads(
@@ -394,6 +396,67 @@ class TestCollector:
 
         small = garbage(4)
         assert garbage(10**4) <= small
+
+
+class TestParserReuse:
+    """main parses with one parser per process; build_parser stays a factory."""
+
+    def test_three_calls_build_one_parser(self, capsys, monkeypatch, cycle8_file):
+        built, build = [], cli.build_parser
+
+        def counting():
+            built.append(build())
+            return built[-1]
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        cli._parser.cache_clear()
+        try:
+            for _ in range(3):
+                assert run(capsys, "solve", "--d", "1", "--chi", cycle8_file)[0] == 0
+            assert len(built) == 1 and cli._parser() is built[0]
+        finally:
+            cli._parser.cache_clear()
+
+    def test_build_parser_returns_a_new_parser_each_call(self):
+        assert cli.build_parser() is not cli.build_parser()
+
+    def test_options_of_one_call_do_not_reach_the_next(self, capsys, tmp_path, cycle8_file):
+        pet = tmp_path / "pet.txt"
+        main(["generate", "petersen", "-o", str(pet)])
+        args = cli._parser().parse_args(["solve", "--d", "1", "--chi", str(pet),
+                                         "--algorithm", "brute", "--budget", "5"])
+        assert (args.algorithm, args.budget) == ("brute", 5)
+        args = cli._parser().parse_args(["solve", "--d", "1", "--chi", str(pet)])
+        assert (args.algorithm, args.budget, args.k) == ("auto", DEFAULT_BUDGET, None)
+
+        code, rep = solve_report(capsys, "--d", "1", "--chi", cycle8_file,
+                                 "--algorithm", "brute", "--budget", "5")
+        assert (code, rep["verdict"], rep["algorithm"]) == (2, "unknown", "brute")
+        code, rep = solve_report(capsys, "--d", "1", "--chi", cycle8_file)
+        assert (code, rep["chi"], rep["algorithm"]) == (0, 2, "closedform:cycle")
+        # Petersen needs 593 nodes at d = 1: the default budget answers, 5 would not
+        solve_report(capsys, "--d", "1", "--chi", str(pet), "--algorithm", "brute", "--budget", "5")
+        code, rep = solve_report(capsys, "--d", "1", "--chi", str(pet))
+        assert (code, rep["verdict"], rep["chi"]) == (0, "yes", 5)
+
+    def test_a_usage_error_leaves_the_parser_working(self, capsys, cycle8_file):
+        with pytest.raises(SystemExit) as info:
+            main(["solve", "--d", "1", cycle8_file])  # neither --k nor --chi
+        assert info.value.code == 2
+        assert "one of the arguments --k --chi is required" in capsys.readouterr().err
+        code, rep = solve_report(capsys, "--d", "1", "--chi", cycle8_file)
+        assert (code, rep["verdict"], rep["chi"]) == (0, "yes", 2)
+        code, rep = solve_report(capsys, "--d", "1", "--k", "1", cycle8_file)
+        assert (code, rep["verdict"], rep["chi"]) == (0, "no", 2)
+
+    def test_k_and_chi_stay_mutually_exclusive(self, capsys, cycle8_file):
+        for _ in range(2):
+            with pytest.raises(SystemExit) as info:
+                main(["solve", "--d", "1", "--k", "2", "--chi", cycle8_file])
+            assert info.value.code == 2
+            assert "not allowed with argument" in capsys.readouterr().err
+            code, rep = solve_report(capsys, "--d", "1", "--k", "2", cycle8_file)
+            assert (code, rep["verdict"]) == (0, "yes")
 
 
 def test_a_corrupted_witness_is_an_error_not_an_answer(capsys, monkeypatch, cycle8_file):

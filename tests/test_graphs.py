@@ -48,7 +48,69 @@ def cut_vertices(bct):
     return {v for v, count in membership.items() if count >= 2}
 
 
+def reference_adjacency(n, edges):
+    """Sorted neighbor tuples from one set per vertex: what build_graph must return."""
+    nbr = [set() for _ in range(n)]
+    for u, v in edges:
+        nbr[u].add(v)
+        nbr[v].add(u)
+    return tuple(tuple(sorted(a)) for a in nbr)
+
+
+def edge_list(rng, kind):
+    """(n, edges) of one kind: build_graph's fast path takes the sorted ones."""
+    n = rng.choice([0, 1, 2, rng.randint(3, 30)])
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = sorted(rng.sample(pairs, rng.randint(0, len(pairs)))) if rng.random() < 0.9 else []
+    if kind == "shuffled":
+        rng.shuffle(edges)
+    elif kind == "one swap" and len(edges) > 1:  # sorted but for two neighbors
+        i = rng.randrange(len(edges) - 1)
+        edges[i], edges[i + 1] = edges[i + 1], edges[i]
+    elif kind == "flipped":
+        edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]
+    elif kind == "duplicates":
+        for u, v in rng.sample(edges, len(edges) // 3):
+            edges.insert(rng.randrange(len(edges) + 1), (v, u) if rng.random() < 0.5 else (u, v))
+    elif kind == "adjacent duplicates":  # sorted but not strictly increasing
+        edges = sorted(edges + edges[: len(edges) // 2])
+    elif kind == "isolated":  # the pairs avoid some vertices
+        extra = rng.randint(1, 5)
+        keep = sorted(rng.sample(range(n + extra), n))
+        n += extra
+        edges = [(keep[u], keep[v]) for u, v in edges]
+    return n, edges
+
+
 class TestBuildGraph:
+    KINDS = ("sorted", "shuffled", "one swap", "flipped", "duplicates",
+             "adjacent duplicates", "isolated")
+
+    def test_matches_a_set_based_reference(self):
+        rng = random.Random(18)
+        seen = Counter()
+        for i in range(1400):
+            kind = self.KINDS[i % len(self.KINDS)]
+            n, edges = edge_list(rng, kind)
+            g = build_graph(n, edges)
+            assert g.n == n and g.adj == reference_adjacency(n, edges), (kind, n, edges)
+            assert g.m == len({frozenset(e) for e in edges})
+            seen[kind] += 1
+            seen["n = 0"] += n == 0
+            seen["m = 0"] += not edges
+        assert min(seen.values()) >= 10, seen
+
+    @pytest.mark.parametrize("edges, error, message", [
+        ([(0, 1), (1, 2), (2, 4)], OutOfRangeError, "edge (2, 4) has an endpoint outside [0, 4)"),
+        ([(0, 1), (1, 2), (-1, 3)], OutOfRangeError, "edge (-1, 3) has an endpoint outside [0, 4)"),
+        ([(0, 1), (1, 2), (4, 2)], OutOfRangeError, "edge (4, 2) has an endpoint outside [0, 4)"),
+        ([(0, 1), (1, 2), (3, 3)], SelfLoopError, "self-loop at vertex 3"),
+    ])
+    def test_a_bad_last_edge_after_sorted_ones(self, edges, error, message):
+        with pytest.raises(error) as info:
+            build_graph(4, edges)
+        assert str(info.value) == message
+
     def test_triangle(self):
         g = build_graph(3, [(0, 1), (1, 2), (2, 0)])
         assert g.min_degree() == g.max_degree() == 2

@@ -1,4 +1,4 @@
-"""tools/oracle_nodes.py prints the same well-formed node table on every run."""
+"""tools/oracle_nodes.py prints the same well-formed node table on every run, one search per row."""
 
 import os
 import re
@@ -27,3 +27,5 @@ def test_node_table_is_reproducible_and_well_formed():
     assert len(lines) == 23
     assert all(LINE.fullmatch(line) for line in lines), lines
     assert lines[0].startswith("petersen 1 5 ")
+    # every row measures a search: none is refuted before it starts
+    assert all(int(line.split()[-1]) > 0 for line in lines), lines
