@@ -19,7 +19,7 @@ import heapq
 
 from .coloring import Coloring, solve_by_component
 from .errors import BudgetExceededError
-from .graphs import Graph, connected_components, perfect_elimination_ordering
+from .graphs import BlockCutTree, Graph, block_cut_tree, perfect_elimination_ordering
 
 DEFAULT_BUDGET = 10**8
 
@@ -225,13 +225,15 @@ def _chromatic_connected(g: Graph, b: _Budget) -> tuple[int, list[int]]:
     return upper, upper_coloring
 
 
-def chromatic_number(g: Graph, budget: int | _Budget = DEFAULT_BUDGET) -> tuple[int, Coloring]:
+def chromatic_number(g: Graph, budget: int | _Budget = DEFAULT_BUDGET,
+                     bct: BlockCutTree | None = None) -> tuple[int, Coloring]:
     """Exact chromatic number with a proper witness coloring.
 
-    Disconnected graphs are solved componentwise; the result is the maximum
-    over components.  Raises BudgetExceededError when the node budget runs
-    out, so callers can report "unknown" instead of a wrong answer.
+    Disconnected graphs are solved per component of bct (g's block-cut
+    tree, built when None); the result is the maximum over components.
+    Raises BudgetExceededError when the node budget runs out.
     """
     b = _Budget.of(budget)
-    coloring = solve_by_component(g, connected_components(g), lambda h: _chromatic_connected(h, b))
+    comps = (bct or block_cut_tree(g)).components()
+    coloring = solve_by_component(g, comps, lambda h, _: _chromatic_connected(h, b))
     return coloring.k, coloring

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import LengthMismatchError, OutOfRangeError
-from .graphs import Graph, connected_components, induced_subgraph
+from .graphs import Graph, block_cut_tree, induced_subgraph
 
 
 class _Coloring(NamedTuple):
@@ -89,17 +89,18 @@ def lift_coloring(n: int, parts, colors, k: int) -> Coloring:
 def solve_by_component(g: Graph, components, solve_one) -> Coloring | None:
     """Join per-component colorings of g; None as soon as one component has none.
 
-    solve_one(h) returns (colors available, color list of h's vertices) or
-    None.  Color classes may merge across components, so the joined coloring
-    offers the largest count.  A connected g goes to solve_one as it is.
+    components are BlockCutTree.components pairs; solve_one(h, block)
+    returns (colors available, color list of h's vertices) or None.  Color
+    classes may merge across components, so the joined coloring offers the
+    largest count.  A connected g goes to solve_one as it is.
     """
     if len(components) == 1:
-        out = solve_one(g)
+        out = solve_one(g, components[0][1])
         return None if out is None else Coloring(out[0], tuple(out[1]))
     k, assign = 0, [0] * g.n
-    for comp in components:
+    for comp, block in components:
         sub, verts = induced_subgraph(g, comp)
-        out = solve_one(sub)
+        out = solve_one(sub, block)
         if out is None:
             return None
         k = max(k, out[0])
@@ -146,8 +147,8 @@ def infeasibility_reason(g: Graph, d: int, orders=None) -> str | None:
     The part of a class inside one component is d-regular too; for odd d it
     has even order (handshake lemma), hence so does each component, and an
     odd n already shows one of odd order.  `orders` are the vertex counts of
-    g's components when the caller has them (BlockCutTree.component_orders);
-    only odd d at even n reads them.
+    g's components (BlockCutTree.component_orders, built when None); only
+    odd d at even n reads them.
     """
     if g.n == 0 or d <= 0:
         return None
@@ -156,7 +157,7 @@ def infeasibility_reason(g: Graph, d: int, orders=None) -> str | None:
     if d % 2 == 0:
         return None
     if g.n % 2 == 0:
-        orders = map(len, connected_components(g)) if orders is None else orders
+        orders = block_cut_tree(g).component_orders if orders is None else orders
         if not any(order % 2 for order in orders):
             return None
     return "d is odd and a component has odd order"

@@ -100,7 +100,7 @@ def build_graph(n: int, edges) -> Graph:
 
 
 def connected_components(g: Graph) -> list[list[int]]:
-    """Vertex sets of the connected components, each sorted, ordered by minimum vertex."""
+    """Sorted component vertex sets by minimum vertex; the solves read BlockCutTree.components."""
     seen = [False] * g.n
     comps = []
     for s in range(g.n):
@@ -127,12 +127,7 @@ def induced_subgraph(g: Graph, vertices) -> tuple[Graph, list[int]]:
     """
     verts = sorted(vertices)
     index = {v: i for i, v in enumerate(verts)}
-    edges = [
-        (index[u], index[v])
-        for u in verts
-        for v in g.adj[u]
-        if u < v and v in index
-    ]
+    edges = [(index[u], index[v]) for u in verts for v in g.adj[u] if u < v and v in index]
     return build_graph(len(verts), edges), verts
 
 
@@ -181,6 +176,22 @@ class BlockCutTree(NamedTuple):
     component_orders: tuple[int, ...]
     is_cactus: bool          # every block is an edge or a cycle
     is_block_graph: bool     # every block is a clique
+
+    def components(self) -> list[tuple[list[int], int]]:
+        """(vertices, largest block size or 1) of each component, in root order.
+
+        A component's rings close before its root's marker, and each of its
+        other vertices is a non-entry vertex of exactly one of them.
+        """
+        comps, verts, big = [], [], 1
+        for i, ring in self.sweep:
+            if i is None:
+                comps.append((verts + [ring[0]], big))
+                verts, big = [], 1
+            else:
+                verts += ring[1:]
+                big = max(big, len(ring))
+        return comps
 
 
 def block_cut_tree(g: Graph) -> BlockCutTree:
@@ -317,12 +328,13 @@ def color_factor(n: int, sweep, classes, cyclic: bool = False) -> tuple[int, lis
     cactus (cactus.cactus_label), which also cover every vertex.  The rings
     are read in reverse, root first: each ring's entry vertex has a colored
     class, and every other class that touches the ring is new here.  A
-    clique ring (or a root) gives each new class the smallest color its
-    ring lacks.  When cyclic, a ring of three or more vertices is a cycle:
-    each new run of one class along it takes the smallest color that
-    differs from the runs before and after it, of which only the entry's
-    can be colored; an M cycle is all the entry's run and is skipped.  Why
-    k is optimal: see the blockgraph and cactus modules.  Linear time.
+    clique ring (or a root) gives its new classes 0, 1, 2, ... and skips
+    the entry's color, which is first fit over the ring.  When cyclic, a
+    ring of three or more vertices is a cycle: each new run of one class
+    along it takes the smallest color that differs from the runs before
+    and after it, of which only the entry's can be colored; an M cycle is
+    all the entry's run and is skipped.  Why k is optimal: see the
+    blockgraph and cactus modules.  Linear time.
     """
     cls = [0] * n
     for i, c in enumerate(classes):
@@ -349,16 +361,15 @@ def color_factor(n: int, sweep, classes, cyclic: bool = False) -> tuple[int, lis
                     while c in banned:
                         c += 1
                     ccolor[x] = c
-        else:  # a clique of three or more vertices
-            used = set()
+        else:  # a clique of three or more vertices: new classes count up past the entry's color
+            entry = ccolor[cls[ring[0]]]
             c = 0
-            for w in ring:
-                x = cls[w]
+            for x in map(cls.__getitem__, ring):
                 if ccolor[x] == -1:
-                    while c in used:
+                    if c == entry:
                         c += 1
                     ccolor[x] = c
-                used.add(ccolor[x])
+                    c += 1
     color = list(map(ccolor.__getitem__, cls))
     return max(color, default=-1) + 1, color
 

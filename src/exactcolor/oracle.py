@@ -1,7 +1,8 @@
 """Ground-truth solvers for exact (k, d)-coloring on small graphs.
 
-Two routes are provided on purpose; they share only the exact search,
-which the first runs at d and the second at d = 0 on each quotient:
+Two routes are provided on purpose; they share only the exact search over
+the block-cut tree's components, at d in the first and at d = 0 on each
+quotient (through chromatic_number) in the second:
 
 * ``brute_solve`` / ``brute_chi``: complete backtracking over colorings in
   DSATUR order with the exactly-d check (chromatic._exact_k_coloring).
@@ -35,17 +36,17 @@ from .coloring import (
     solve_by_component,
 )
 from .errors import BadParameterError
-from .graphs import BlockCutTree, Graph, block_cut_tree, connected_components, contract_partition
+from .graphs import BlockCutTree, Graph, block_cut_tree, contract_partition
 
 
 def brute_solve(
-    g: Graph, k: int, d: int, budget: int | _Budget = DEFAULT_BUDGET
+    g: Graph, k: int, d: int, budget: int | _Budget = DEFAULT_BUDGET, bct: BlockCutTree | None = None
 ) -> Coloring | None:
     """Decide whether an exact (k, d)-coloring exists; witness on yes, None on no.
 
     Components are independent (color classes may merge across them), so the
-    search runs per component.  Raises BudgetExceededError when the node
-    budget runs out.
+    search runs per component.  `bct` is g's block-cut tree when the caller
+    has it.  Raises BudgetExceededError when the node budget runs out.
     """
     if d < 0:
         raise BadParameterError("defect must be nonnegative")
@@ -53,34 +54,7 @@ def brute_solve(
         raise BadParameterError("color count must be nonnegative")
     if g.n == 0:
         return Coloring(k, ())
-    comps = connected_components(g)
-    if k == 0 or not feasibility_precheck(g, d, map(len, comps)):
-        return None
-    b = _Budget.of(budget)
-
-    def solve_one(h: Graph):
-        color = _exact_k_coloring(h, k, d, b)
-        return None if color is None else (k, color)
-
-    return solve_by_component(g, comps, solve_one)
-
-
-def _kcap(order: int, block: int, d: int) -> int:
-    # see brute_chi; a component with no block is one vertex
-    return max(1, min(order // (d + 1), block))
-
-
-def _kcaps(bct: BlockCutTree, d: int) -> list[int]:
-    """_kcap of each component, in root order: its largest ring comes before its root."""
-    caps, block = [], 1
-    orders = iter(bct.component_orders)
-    for i, ring in bct.sweep:
-        if i is None:
-            caps.append(_kcap(next(orders), block, d))
-            block = 1
-        elif len(ring) > block:
-            block = len(ring)
-    return caps
+    return None if k == 0 else _search(g, d, _Budget.of(budget), bct, k)
 
 
 def brute_chi(
@@ -97,23 +71,34 @@ def brute_chi(
     """
     if d < 0:
         raise BadParameterError("defect must be nonnegative")
+    witness = _search(g, d, _Budget.of(budget), bct)
+    return INFEASIBLE if witness is None else SolveOutcome.finite(witness.k, witness)
+
+
+def _kcap(order: int, block: int, d: int) -> int:
+    # see brute_chi; a component with no block is one vertex
+    return max(1, min(order // (d + 1), block))
+
+
+def _search(g: Graph, d: int, b: _Budget, bct: BlockCutTree | None, k: int | None = None):
+    """Both oracles' search on each component of bct (g's block-cut tree, built when None).
+
+    Each component takes k colors, or without k the fewest from its clique
+    bound up to _kcap.  None when the precheck or some component fails.
+    """
     bct = bct or block_cut_tree(g)
     if not feasibility_precheck(g, d, bct.component_orders):
-        return INFEASIBLE
-    comps = connected_components(g)  # in root order, as the caps are
-    caps = iter(_kcaps(bct, d))
-    b = _Budget.of(budget)
-
-    def smallest_k(h: Graph):
-        cap = next(caps)
-        for k in range(min(clique_lower_bound(h, d, b), cap), cap + 1):
-            color = _exact_k_coloring(h, k, d, b)
-            if color is not None:
-                return k, color
         return None
 
-    witness = solve_by_component(g, comps, smallest_k)
-    return INFEASIBLE if witness is None else SolveOutcome.finite(witness.k, witness)
+    def solve_one(h: Graph, block: int):
+        cap = _kcap(h.n, block, d)
+        for kk in (k,) if k is not None else range(min(clique_lower_bound(h, d, b), cap), cap + 1):
+            color = _exact_k_coloring(h, kk, d, b)
+            if color is not None:
+                return kk, color
+        return None
+
+    return solve_by_component(g, bct.components(), solve_one)
 
 
 # ---------------------------------------------------------------------------

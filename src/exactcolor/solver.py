@@ -71,7 +71,7 @@ def _cactus(s: GraphClasses, d: int, k, budget: _Budget) -> SolveOutcome:
 def _brute(s: GraphClasses, d: int, k, budget: _Budget) -> SolveOutcome | Coloring | None:
     if k is None:
         return brute_chi(s.g, d, budget=budget, bct=s.bct)
-    return brute_solve(s.g, k, d, budget=budget)
+    return brute_solve(s.g, k, d, budget=budget, bct=s.bct)
 
 
 def _relabel(outcome: SolveOutcome, order: list[int]) -> SolveOutcome:
@@ -91,7 +91,7 @@ def _relabel(outcome: SolveOutcome, order: list[int]) -> SolveOutcome:
 # component orders at odd d and even n only.
 ROUTES = (
     Route("chromatic", None, lambda s, d: d == 0,
-          lambda s, d, k, budget: SolveOutcome.finite(*chromatic_number(s.g, budget))),
+          lambda s, d, k, budget: SolveOutcome.finite(*chromatic_number(s.g, budget, s.bct))),
     Route("precheck", None,
           lambda s, d: infeasibility_reason(
               s.g, d, s.bct.component_orders if d % 2 and s.g.n % 2 == 0 else None),

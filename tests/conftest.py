@@ -118,6 +118,15 @@ def permuted(g: Graph, perm) -> Graph:
     return build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
 
 
+def relabeled_union(members, rng) -> Graph:
+    """The disjoint union of `members`, renumbered at random so that their vertices interleave."""
+    edges, size = [], 0
+    for h in members:
+        edges += [(u + size, v + size) for u, v in h.edges()]
+        size += h.n
+    return permuted(build_graph(size, edges), rng.sample(range(size), size))
+
+
 def m_cycle_sets(g: Graph):
     """The vertex sets of the cycles the cactus labeler marks M, or None on rejection."""
     aux = cactus_preprocess(g)

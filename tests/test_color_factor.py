@@ -88,6 +88,39 @@ def test_paired_trees_match_the_quotient_path():
         assert_matches(chi_tree(t, 1), quotient_chi(t, 1), t, 1)
 
 
+def first_fit_by_ring(n, sweep, classes):
+    """Each new class takes the smallest color its ring lacks, read off a set: the clique rule."""
+    cls = [0] * n
+    for i, c in enumerate(classes):
+        for v in c:
+            cls[v] = i
+    ccolor = [-1] * len(classes)
+    for _, ring in reversed(sweep):
+        used = set()
+        for w in ring:
+            if ccolor[cls[w]] == -1:
+                c = 0
+                while c in used:
+                    c += 1
+                ccolor[cls[w]] = c
+            used.add(ccolor[cls[w]])
+    color = [ccolor[x] for x in cls]
+    return max(color, default=-1) + 1, color
+
+
+def test_clique_rings_color_first_fit():
+    rng = random.Random(15)
+    rings = 0
+    for seed in range(600):
+        d = 1 + seed % 3
+        g = relabeled(planted_block_graph(1 + seed % 17, d + 1, seed)[0], rng)
+        sweep = block_cut_tree(g).sweep
+        classes = block_factor(g.n, sweep, d + 1)
+        assert color_factor(g.n, sweep, classes) == first_fit_by_ring(g.n, sweep, classes)
+        rings += sum(len(ring) > 2 for _, ring in sweep)
+    assert rings > 1000
+
+
 def test_ring_of_runs_takes_a_third_color_before_its_entry():
     g = build_graph(14, RING_WRAP_CACTUS)
     sweep = block_cut_tree(g).sweep

@@ -25,7 +25,7 @@ from exactcolor import (
     tightness_gadget,
 )
 from exactcolor.graphs import block_factor
-from conftest import perfect_matchings_filter
+from conftest import perfect_matchings_filter, relabeled_union
 
 
 @st.composite
@@ -228,6 +228,30 @@ def test_component_orders_are_the_component_sizes():
         p = rng.uniform(0.0, 0.4)  # sparse, so most graphs have several components
         g = build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
         assert list(block_cut_tree(g).component_orders) == [len(c) for c in connected_components(g)]
+
+
+def test_components_come_off_the_sweep():
+    # connected_components, the breadth-first search, is the reference
+    rng = random.Random(22)
+
+    def sparse(n):
+        p = rng.uniform(0.0, 0.4)
+        return build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+
+    members = (lambda: build_graph(1, []), lambda: cycle(rng.randint(3, 7)),
+               lambda: complete(rng.randint(2, 5)), lambda: sparse(rng.randint(1, 9)),
+               lambda: random_cactus(rng.randint(3, 12), seed=rng.randrange(10**6)))
+    for case in range(1200):
+        if case % 2:  # interleaved components, isolated vertices among them
+            g = relabeled_union([rng.choice(members)() for _ in range(rng.randint(1, 3))], rng)
+        else:
+            g = sparse(case % 16)  # n = 0 included
+        bct = block_cut_tree(g)
+        comps = bct.components()
+        assert [sorted(verts) for verts, _ in comps] == connected_components(g)
+        for verts, big in comps:
+            inside = set(verts)
+            assert big == max((len(b) for b in bct.blocks if b[0] in inside), default=1)
 
 
 @pytest.mark.parametrize("seed", range(10))

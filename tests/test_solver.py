@@ -6,7 +6,7 @@ import pytest
 import exactcolor as xc
 from exactcolor import cactus, graphs
 
-from conftest import planted_cactus
+from conftest import planted_cactus, relabeled_union
 
 
 def patch_graphs(monkeypatch, name, replacement, module=graphs):
@@ -146,6 +146,13 @@ def test_d1_cactus_solve_enumerates_no_matchings(monkeypatch, style):
     assert calls == []
 
 
+def refuse_component_search(monkeypatch):
+    def refuse(_):
+        raise AssertionError("connected_components was called")
+
+    patch_graphs(monkeypatch, "connected_components", refuse)
+
+
 @pytest.mark.parametrize("g,d,algorithm", [
     (xc.random_cactus(60, seed=1, style="bridged"), 2, "cactus"),
     (xc.random_block_graph(60, seed=1), 1, "blockgraph"),
@@ -155,11 +162,30 @@ def test_d1_cactus_solve_enumerates_no_matchings(monkeypatch, style):
     (xc.wheel(8), 1, "closedform:wheel"),
 ])
 def test_polynomial_and_closed_form_routes_need_no_component_search(monkeypatch, g, d, algorithm):
-    def refuse(_):
-        raise AssertionError("connected_components was called")
-
-    patch_graphs(monkeypatch, "connected_components", refuse)
+    refuse_component_search(monkeypatch)
     assert xc.solve(g, d).algorithm == algorithm
+
+
+PETERSENS_AND_A_VERTEX = disjoint_union(disjoint_union(xc.petersen(), xc.petersen()), xc.build_graph(1, []))
+
+
+@pytest.mark.parametrize("g,d,k,algorithm,route,chi", [
+    (xc.petersen(), 0, None, "auto", "chromatic", 3),
+    (PETERSENS_AND_A_VERTEX, 0, None, "auto", "chromatic", 3),
+    (xc.petersen(), 1, None, "auto", "brute", 5),
+    (xc.petersen(), 1, 7, "brute", "brute", None),  # a forced decision reports no chi
+])
+def test_search_routes_need_no_component_search(monkeypatch, g, d, k, algorithm, route, chi):
+    refuse_component_search(monkeypatch)
+    rep = xc.solve(g, d, k, algorithm=algorithm)
+    assert (rep.verdict, rep.algorithm, rep.chi) == ("yes", route, chi)
+
+
+def test_searches_called_directly_need_no_component_search(monkeypatch):
+    refuse_component_search(monkeypatch)
+    assert xc.brute_chi(disjoint_union(xc.petersen(), xc.petersen()), 1).chi == 5
+    assert xc.brute_solve(PETERSENS_AND_A_VERTEX, 3, 0) is not None
+    assert xc.chromatic_number(PETERSENS_AND_A_VERTEX)[0] == 3
 
 
 @pytest.mark.parametrize("g,d,algorithm", [
@@ -182,11 +208,41 @@ def test_a_decision_above_chi_never_reports_k_as_chi(g, d, algorithm):
         assert rep.chi == rep.witness.k == chi
 
 
-def test_brute_finds_the_components_at_most_twice(monkeypatch):
-    g = xc.petersen()
+def test_brute_reads_the_components_off_the_block_cut_tree(monkeypatch):
     calls = count_calls(monkeypatch, "connected_components")
-    assert xc.solve(g, 1).chi == 5
-    assert sum(args[0] is g for args in calls) <= 2
+    assert xc.solve(xc.petersen(), 1).chi == 5
+    assert calls == []
+
+
+def test_searches_take_the_maximum_over_components():
+    # chi of a disjoint union is the largest chi of its members, and infinite
+    # when one of them is; the members are solved alone as the reference
+    rng = random.Random(24)
+    members = (lambda: xc.build_graph(1, []), lambda: xc.cycle(rng.randint(3, 8)),
+               lambda: xc.complete(rng.randint(2, 5)),
+               lambda: xc.random_cactus(rng.randint(3, 8), seed=rng.randrange(10**6)),
+               lambda: xc.random_graph(rng.randint(1, 8), rng.random(), seed=rng.randrange(10**6)))
+    finite = 0
+    for case in range(300):
+        d = case % 4
+        parts = [rng.choice(members)() for _ in range(rng.randint(2, 3))]
+        g = relabeled_union(parts, rng)
+        alone = [xc.brute_chi(h, d) for h in parts]
+        out = xc.brute_chi(g, d)
+        if any(a.is_infeasible for a in alone):
+            assert out.is_infeasible
+        else:
+            finite += 1
+            assert out.chi == out.witness.k == max(a.chi for a in alone)
+            assert xc.is_exact_coloring(g, out.witness, d)
+        for k in range(1, 5):
+            witness = xc.brute_solve(g, k, d)
+            assert (witness is not None) == (out.is_finite and out.chi <= k)
+            assert witness is None or (witness.k == k and xc.is_exact_coloring(g, witness, d))
+        chi, coloring = xc.chromatic_number(g)
+        assert chi == coloring.k == max(xc.chromatic_number(h)[0] for h in parts)
+        assert xc.is_proper(g, coloring)
+    assert finite > 50
 
 
 def test_connected_graph_is_not_copied_per_component(monkeypatch):

@@ -9,9 +9,10 @@ same bytes exactly when they give the same answers and witnesses:
     PYTHONPATH=src python3 tools/answer_digest.py --cases 5000 --seed 1 > new.txt
 
 The corpus mixes random cacti of the four styles, random block graphs,
-random trees, cycles, wheels, complete graphs and G(n, p) with n <= 10, at
-d in 0..3 and k in {None, 1, 2, 3}, half of them with their vertices
-renumbered.  Only the public API is used (exactcolor.solve and the graph
+random trees, cycles, wheels, complete graphs, G(n, p) with n <= 10, and
+disjoint unions of two or three of these (or isolated vertices) with their
+vertices interleaved, at d in 0..3 and k in {None, 1, 2, 3}, half of them
+with their vertices renumbered.  Only the public API is used (exactcolor.solve and the graph
 builders), so the script runs unchanged on older checkouts.
 """
 
@@ -32,7 +33,7 @@ def _tree(n: int, seed: int) -> xc.Graph:
 
 
 # (smallest n, largest n, builder(n, seed))
-FAMILIES = (
+MEMBERS = (
     *((3, 60, lambda n, s, style=style: xc.random_cactus(n, seed=s, style=style))
       for style in ("bridged", "petaled", "shared", "mixed")),
     (1, 60, lambda n, s: xc.random_block_graph(n, seed=s)),
@@ -42,6 +43,29 @@ FAMILIES = (
     (1, 8, lambda n, s: xc.complete(n)),
     (1, 10, lambda n, s: xc.random_graph(n, p=random.Random(s).random(), seed=s)),
 )
+
+
+def _union(n: int, seed: int) -> xc.Graph:
+    """Two or three members of at most n vertices each, renumbered together.
+
+    A member is an isolated vertex a third of the time, else a graph of
+    one of the other families.
+    """
+    rng = random.Random(seed)
+    edges, size = [], 0
+    for _ in range(rng.randint(2, 3)):
+        if rng.random() < 1 / 3:
+            h = xc.build_graph(1, [])
+        else:
+            lo, hi, build = rng.choice(MEMBERS)
+            h = build(rng.randint(lo, max(lo, min(hi, n))), rng.randrange(10**6))
+        edges += [(u + size, v + size) for u, v in h.edges()]
+        size += h.n
+    perm = rng.sample(range(size), size)
+    return xc.build_graph(size, [(perm[u], perm[v]) for u, v in edges])
+
+
+FAMILIES = (*MEMBERS, (1, 12, _union))
 
 
 def corpus(cases: int, seed: int):
