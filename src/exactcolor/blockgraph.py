@@ -21,42 +21,37 @@ from __future__ import annotations
 
 from .coloring import Coloring, INFEASIBLE, SolveOutcome
 from .errors import BadParameterError, NotABlockGraphError
-from .graphs import BlockCutTree, Graph, block_cut_tree, block_factor, color_factor
+from .graphs import Graph, block_factor, color_factor
 
 
-def _guard_block_graph(g: Graph, bct: BlockCutTree | None = None) -> BlockCutTree:
-    bct = bct or block_cut_tree(g)
-    if not bct.is_block_graph:
+def _guard_block_graph(g: Graph) -> tuple[tuple[int | None, tuple[int, ...]], ...]:
+    """g's block sweep (Graph.bct); NotABlockGraphError unless g is a block graph."""
+    if not g.bct.is_block_graph:
         raise NotABlockGraphError("input is not a block graph")
-    return bct
+    return g.bct.sweep
 
 
-def clique_factor(
-    g: Graph, r: int, bct: BlockCutTree | None = None
-) -> list[tuple[int, ...]] | None:
+def clique_factor(g: Graph, r: int) -> list[tuple[int, ...]] | None:
     """Partition V into classes of exactly r vertices each inducing K_r, or None.
 
     The classes come sorted; graphs.block_factor finds them.
     """
     if r < 2:
         raise BadParameterError("clique factor needs r >= 2")
-    bct = _guard_block_graph(g, bct)
-    classes = block_factor(g.n, bct.sweep, r)
+    classes = block_factor(g.n, _guard_block_graph(g), r)
     return None if classes is None else sorted(classes)
 
 
-def blockgraph_chi(
-    g: Graph, d: int, bct: BlockCutTree | None = None
-) -> SolveOutcome:
+def blockgraph_chi(g: Graph, d: int) -> SolveOutcome:
     """Exact d-defective chromatic number of a block graph, with witness.
 
     Infeasible when no K_{d+1}-factor exists, else chi of its quotient.
     """
     if d < 1:
         raise BadParameterError("blockgraph solver covers d >= 1")
-    bct = _guard_block_graph(g, bct)
-    factor = block_factor(g.n, bct.sweep, d + 1)
+    sweep = _guard_block_graph(g)
+    factor = block_factor(g.n, sweep, d + 1)
     if factor is None:
         return INFEASIBLE
-    k, color = color_factor(g.n, bct.sweep, factor)
+    k, color = color_factor(g.n, sweep, factor)
     return SolveOutcome.finite(k, Coloring(k, tuple(color)))

@@ -43,7 +43,7 @@ from typing import NamedTuple
 
 from .coloring import Coloring, INFEASIBLE, SolveOutcome
 from .errors import IncompleteLabelingError, NotACactusError
-from .graphs import BlockCutTree, Graph, block_cut_tree, block_factor, color_factor
+from .graphs import Graph, block_factor, color_factor
 
 M = "M"
 P = "P"
@@ -59,7 +59,7 @@ class NoReason(Enum):
 
 
 class CactusAux:
-    """Block structure of a cactus, read off its block-cut tree.
+    """Block structure of a cactus, read off its block-cut tree (Graph.bct).
 
     rings is the tree's leaves-first sweep, which every solver here reads.
     A ring of three or more vertices is a cycle in cyclic order, and
@@ -69,16 +69,16 @@ class CactusAux:
     (one lying on no other cycle), which only a rejection's reason needs.
     """
 
-    def __init__(self, g: Graph, bct: BlockCutTree):
-        self.g, self.bct = g, bct
+    def __init__(self, g: Graph):
+        self.g = g
 
     @property
     def rings(self) -> tuple[tuple[int | None, tuple[int, ...]], ...]:
-        return self.bct.sweep
+        return self.g.bct.sweep
 
     @cached_property
     def cycles(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(b for b in self.bct.blocks if len(b) > 2)
+        return tuple(b for b in self.g.bct.blocks if len(b) > 2)
 
     @cached_property
     def cliques(self) -> tuple[tuple[int, ...], ...]:
@@ -104,12 +104,11 @@ class LabelResult(NamedTuple):
         return self.labels is not None
 
 
-def cactus_preprocess(g: Graph, bct: BlockCutTree | None = None) -> CactusAux:
+def cactus_preprocess(g: Graph) -> CactusAux:
     """The block structure of a cactus; NotACactusError for any other graph."""
-    bct = bct or block_cut_tree(g)
-    if not bct.is_cactus:
+    if not g.bct.is_cactus:
         raise NotACactusError("input is not a cactus")
-    return CactusAux(g=g, bct=bct)
+    return CactusAux(g)
 
 
 def cactus_label(aux: CactusAux) -> LabelResult:
@@ -167,13 +166,13 @@ def cactus_extract_coloring(
     return Coloring(k, tuple(color))
 
 
-def cactus_chi2(g: Graph, bct: BlockCutTree | None = None) -> SolveOutcome:
+def cactus_chi2(g: Graph) -> SolveOutcome:
     """Exact 2-defective chromatic number of a cactus, with witness.
 
     Infinite without a cycle factor, which no number of colors mends;
     otherwise the extraction's color count: 1, 2 or 3 (0 on no vertices).
     """
-    aux = cactus_preprocess(g, bct)
+    aux = cactus_preprocess(g)
     res = cactus_label(aux)
     if not res.ok:
         return INFEASIBLE
@@ -181,7 +180,7 @@ def cactus_chi2(g: Graph, bct: BlockCutTree | None = None) -> SolveOutcome:
     return SolveOutcome.finite(c.k, c)
 
 
-def cactus_chi1(g: Graph, bct: BlockCutTree | None = None) -> SolveOutcome:
+def cactus_chi1(g: Graph) -> SolveOutcome:
     """Exact 1-defective chromatic number of a cactus, from one perfect matching.
 
     1 when g is 1-regular; infinite without a perfect matching M; else
@@ -189,7 +188,7 @@ def cactus_chi1(g: Graph, bct: BlockCutTree | None = None) -> SolveOutcome:
     matched inside C exactly when the pieces hanging off it have even
     order, so the image of C in G/M has the same length for every M.
     """
-    aux = cactus_preprocess(g, bct)
+    aux = cactus_preprocess(g)
     pairs = block_factor(g.n, aux.rings, 2, cyclic=True)
     if pairs is None:
         return INFEASIBLE

@@ -1,13 +1,17 @@
 """Exact chromatic number and maximum clique.
 
-Chordal graphs take a mandatory fast path: greedy coloring along the
-maximum-cardinality-search order is optimal and simultaneously yields the
-clique number.  Everything else tries each k from an exact clique lower
-bound up to a greedy upper bound with `_exact_k_coloring`, the package's
-one exact search (DSATUR order, with an exactly-d check that the oracle
-uses at d >= 1), under a node budget that raises instead of guessing.
-Each budget parameter takes a node count or a `_Budget` shared with the
-caller, so one solve can charge every search it runs to a single budget.
+A block graph is colored off its block-cut tree with as many colors as its
+largest block.  Other chordal graphs take a mandatory fast path: greedy
+coloring along the maximum-cardinality-search order is optimal and
+simultaneously yields the clique number.  Everything else tries each k
+from an exact clique lower bound up to a greedy upper bound with
+`_exact_k_coloring`, the package's one exact search (DSATUR order, with an
+exactly-d check that the oracle uses at d >= 1), under a node budget that
+raises instead of guessing.  Each budget parameter takes a node count or a
+`_Budget` shared with the caller, so one solve can charge every search it
+runs to a single budget.  The block-cut tree and the elimination ordering
+are the graph's own (Graph.bct, Graph.peo), built once whoever reads them
+first.
 
 Intended for graphs of moderate size (tens of vertices) and for chordal
 graphs of any size; quotients by a block factor use graphs.color_factor.
@@ -19,7 +23,7 @@ import heapq
 
 from .coloring import Coloring, solve_by_component
 from .errors import BudgetExceededError
-from .graphs import BlockCutTree, Graph, block_cut_tree, perfect_elimination_ordering
+from .graphs import Graph, color_factor
 
 DEFAULT_BUDGET = 10**8
 
@@ -58,12 +62,10 @@ def greedy_coloring(g: Graph, order: list[int] | None = None) -> list[int]:
 
 def chordal_greedy(g: Graph) -> tuple[list[int], int] | None:
     """(optimal coloring, clique number) when g is chordal, else None."""
-    peo = perfect_elimination_ordering(g)
-    if peo is None:
+    if g.peo is None:
         return None
-    color = greedy_coloring(g, list(reversed(peo)))  # the maximum-cardinality-search order
-    omega = max(color, default=-1) + 1
-    return color, omega
+    color = greedy_coloring(g, g.peo[::-1])  # the maximum-cardinality-search order
+    return color, max(color, default=-1) + 1
 
 
 def max_clique(g: Graph, budget: int | _Budget = DEFAULT_BUDGET) -> list[int]:
@@ -75,11 +77,10 @@ def max_clique(g: Graph, budget: int | _Budget = DEFAULT_BUDGET) -> list[int]:
     """
     if g.n == 0:
         return []
-    peo = perfect_elimination_ordering(g)
-    if peo is not None:
-        pos = {v: i for i, v in enumerate(peo)}
+    if g.peo is not None:
+        pos = {v: i for i, v in enumerate(g.peo)}
         best: list[int] = []
-        for v in peo:
+        for v in g.peo:
             cand = [v] + [w for w in g.adj[v] if pos[w] > pos[v]]
             if len(cand) > len(best):
                 best = cand
@@ -225,15 +226,18 @@ def _chromatic_connected(g: Graph, b: _Budget) -> tuple[int, list[int]]:
     return upper, upper_coloring
 
 
-def chromatic_number(g: Graph, budget: int | _Budget = DEFAULT_BUDGET,
-                     bct: BlockCutTree | None = None) -> tuple[int, Coloring]:
+def chromatic_number(g: Graph, budget: int | _Budget = DEFAULT_BUDGET) -> tuple[int, Coloring]:
     """Exact chromatic number with a proper witness coloring.
 
-    Disconnected graphs are solved per component of bct (g's block-cut
-    tree, built when None); the result is the maximum over components.
-    Raises BudgetExceededError when the node budget runs out.
+    A block graph is colored off its block-cut tree in linear time, each
+    vertex its own class of graphs.color_factor: k is its largest block (a
+    clique), 1 with no edge.  Other graphs are solved per component of the
+    tree; the result is the maximum over components.  Raises
+    BudgetExceededError when the node budget runs out.
     """
+    if g.bct.is_block_graph:
+        k, color = color_factor(g.n, g.bct.sweep, [(v,) for v in range(g.n)])
+        return k, Coloring(k, tuple(color))
     b = _Budget.of(budget)
-    comps = (bct or block_cut_tree(g)).components()
-    coloring = solve_by_component(g, comps, lambda h, _: _chromatic_connected(h, b))
+    coloring = solve_by_component(g, g.bct.components(), lambda h, _: _chromatic_connected(h, b))
     return coloring.k, coloring

@@ -47,8 +47,8 @@ def _emit(text: str, path: str | None, stream) -> None:
 
 
 def cmd_solve(args) -> int:
-    g = load_graph(args.input, args.format)
-    report = solve(g, args.d, args.k, args.algorithm, args.budget)
+    # no name holds the graph, so it and the block-cut tree it keeps are freed before printing
+    report = solve(load_graph(args.input, args.format), args.d, args.k, args.algorithm, args.budget)
     print(json.dumps(report.to_dict(), separators=(",", ":")))
     return EXIT_UNKNOWN if report.verdict == "unknown" else EXIT_ANSWERED
 

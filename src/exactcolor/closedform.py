@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import math
 
-from .chromatic import DEFAULT_BUDGET, _Budget, max_clique
+from .chromatic import DEFAULT_BUDGET, _Budget, chromatic_number, max_clique
 from .coloring import Coloring, INFEASIBLE, SolveOutcome, monochromatic
 from .errors import BadParameterError, NotATreeError
-from .graphs import BlockCutTree, Graph, block_cut_tree, block_factor, color_factor, is_d_regular
+from .graphs import Graph, block_factor, color_factor, is_d_regular
 
 
 def chi_cycle(n: int, d: int) -> SolveOutcome:
@@ -65,25 +65,27 @@ def chi_wheel(n: int, d: int) -> SolveOutcome:
     return SolveOutcome.finite(3, Coloring(3, assign))
 
 
-def chi_tree(g: Graph, d: int, bct: BlockCutTree | None = None) -> SolveOutcome:
-    """Exact d-defective chromatic number of a tree, given its block-cut tree if known.
+def chi_tree(g: Graph, d: int) -> SolveOutcome:
+    """Exact d-defective chromatic number of a tree, off its block-cut tree.
 
-    d = 0 gives 2 (1 on one vertex); d = 1 gives chi(T/M) for the unique
-    perfect matching M (1 for K2, else 2), or infinite without one; d >= 2
-    is infeasible, as a tree has a leaf.  graphs.color_factor colors the
-    vertices or the pairs off the block sweep, whose blocks are the edges.
+    d = 0 gives 2 (1 on one vertex), as chromatic_number colors any block
+    graph; d = 1 gives chi(T/M) for the unique perfect matching M (1 for
+    K2, else 2), or infinite without one; d >= 2 is infeasible, as a tree
+    has a leaf.  graphs.color_factor colors the pairs off the block sweep,
+    whose blocks are the edges.
     """
-    bct = bct or block_cut_tree(g)
-    if not (g.n >= 1 and g.m == g.n - 1 and len(bct.component_orders) == 1):
+    if not (g.n >= 1 and g.m == g.n - 1 and len(g.bct.component_orders) == 1):
         raise NotATreeError("input is not a tree")
     if d < 0:
         raise BadParameterError("defect must be nonnegative")
     if d >= 2:
         return INFEASIBLE
-    classes = [(v,) for v in range(g.n)] if d == 0 else block_factor(g.n, bct.sweep, 2)
-    if classes is None:
+    if d == 0:
+        return SolveOutcome.finite(*chromatic_number(g))
+    pairs = block_factor(g.n, g.bct.sweep, 2)
+    if pairs is None:
         return INFEASIBLE
-    k, color = color_factor(g.n, bct.sweep, classes)
+    k, color = color_factor(g.n, g.bct.sweep, pairs)
     return SolveOutcome.finite(k, Coloring(k, tuple(color)))
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import LengthMismatchError, OutOfRangeError
-from .graphs import Graph, block_cut_tree, induced_subgraph
+from .graphs import Graph, induced_subgraph
 
 
 class _Coloring(NamedTuple):
@@ -139,16 +139,15 @@ def is_proper(g: Graph, c: Coloring) -> bool:
     return is_exact_coloring(g, c, 0)
 
 
-def infeasibility_reason(g: Graph, d: int, orders=None) -> str | None:
+def infeasibility_reason(g: Graph, d: int) -> str | None:
     """The cheap necessary condition for an exact (k, d)-coloring that g fails, or None.
 
     Every color class induces a d-regular subgraph, so a coloring needs
     d <= min degree (which also gives every component more than d vertices).
     The part of a class inside one component is d-regular too; for odd d it
     has even order (handshake lemma), hence so does each component, and an
-    odd n already shows one of odd order.  `orders` are the vertex counts of
-    g's components (BlockCutTree.component_orders, built when None); only
-    odd d at even n reads them.
+    odd n already shows one of odd order.  Only odd d at even n reads the
+    component orders, off g's block-cut tree (Graph.bct).
     """
     if g.n == 0 or d <= 0:
         return None
@@ -156,13 +155,11 @@ def infeasibility_reason(g: Graph, d: int, orders=None) -> str | None:
         return "d exceeds min degree"
     if d % 2 == 0:
         return None
-    if g.n % 2 == 0:
-        orders = block_cut_tree(g).component_orders if orders is None else orders
-        if not any(order % 2 for order in orders):
-            return None
+    if g.n % 2 == 0 and not any(order % 2 for order in g.bct.component_orders):
+        return None
     return "d is odd and a component has odd order"
 
 
-def feasibility_precheck(g: Graph, d: int, orders=None) -> bool:
+def feasibility_precheck(g: Graph, d: int) -> bool:
     """True unless infeasibility_reason finds g infeasible; necessary, not sufficient."""
-    return infeasibility_reason(g, d, orders) is None
+    return infeasibility_reason(g, d) is None

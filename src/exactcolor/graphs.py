@@ -24,15 +24,17 @@ from .errors import (
 
 
 class Graph:
-    """Immutable simple undirected graph with sorted adjacency lists."""
+    """Immutable simple undirected graph with sorted adjacency lists; it keeps what it builds."""
 
-    __slots__ = ("n", "adj", "_adjsets", "_m")
+    __slots__ = ("n", "adj", "_adjsets", "_m", "_bct", "_peo")
 
     def __init__(self, n: int, adj: tuple[tuple[int, ...], ...]):
         self.n = n
         self.adj = adj
         self._adjsets = None
         self._m = sum(map(len, adj)) // 2
+        self._bct = None
+        self._peo = False  # not built yet; None: not chordal
 
     @property
     def m(self) -> int:
@@ -52,6 +54,20 @@ class Graph:
         if self._adjsets is None:  # built on first use: most graphs are never asked
             self._adjsets = tuple(frozenset(a) for a in self.adj)
         return v in self._adjsets[u]
+
+    @property
+    def bct(self) -> BlockCutTree:
+        """The block-cut tree, built on first use: every solver here reads it."""
+        if self._bct is None:
+            self._bct = block_cut_tree(self)
+        return self._bct
+
+    @property
+    def peo(self) -> tuple[int, ...] | None:
+        """A perfect elimination ordering, None when not chordal; built on first use."""
+        if self._peo is False:
+            self._peo = perfect_elimination_ordering(self)
+        return self._peo
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) pairs with u < v, sorted."""
@@ -399,14 +415,13 @@ def maximum_cardinality_search(g: Graph) -> list[int]:
     return order
 
 
-def perfect_elimination_ordering(g: Graph) -> list[int] | None:
+def perfect_elimination_ordering(g: Graph) -> tuple[int, ...] | None:
     """A perfect elimination ordering if the graph is chordal, else None.
 
     The reverse of the MCS visit order is a PEO iff the graph is chordal;
     the candidate is verified with the standard parent-subset test.
     """
-    order = maximum_cardinality_search(g)
-    peo = list(reversed(order))
+    peo = tuple(reversed(maximum_cardinality_search(g)))
     pos = {v: i for i, v in enumerate(peo)}
     for v in peo:
         later = [w for w in g.adj[v] if pos[w] > pos[v]]
@@ -420,7 +435,7 @@ def perfect_elimination_ordering(g: Graph) -> list[int] | None:
 
 
 def is_chordal(g: Graph) -> bool:
-    return perfect_elimination_ordering(g) is not None
+    return g.peo is not None
 
 
 def is_d_regular(g: Graph, d: int) -> bool:
@@ -434,20 +449,16 @@ class GraphClasses:
         self.g = g
 
     @cached_property
-    def bct(self) -> BlockCutTree:
-        return block_cut_tree(self.g)
-
-    @cached_property
     def is_tree(self) -> bool:
-        return self.g.n >= 1 and self.g.m == self.g.n - 1 and len(self.bct.component_orders) == 1
+        return self.g.n >= 1 and self.g.m == self.g.n - 1 and len(self.g.bct.component_orders) == 1
 
     @property
     def is_cactus(self) -> bool:
-        return self.bct.is_cactus
+        return self.g.bct.is_cactus
 
     @property
     def is_block_graph(self) -> bool:
-        return self.bct.is_block_graph
+        return self.g.bct.is_block_graph
 
     @cached_property
     def regular_degree(self) -> int | None:
@@ -466,9 +477,9 @@ class GraphClasses:
         The cycle is the graph's one block, whose ring runs from vertex 0
         toward its smaller neighbor.
         """
-        if self.g.n < 3 or self.regular_degree != 2 or len(self.bct.component_orders) != 1:
+        if self.g.n < 3 or self.regular_degree != 2 or len(self.g.bct.component_orders) != 1:
             return None
-        return list(self.bct.blocks[0])
+        return list(self.g.bct.blocks[0])
 
     @cached_property
     def wheel_order(self) -> list[int] | None:

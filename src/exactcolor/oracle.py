@@ -36,17 +36,15 @@ from .coloring import (
     solve_by_component,
 )
 from .errors import BadParameterError
-from .graphs import BlockCutTree, Graph, block_cut_tree, contract_partition
+from .graphs import Graph, contract_partition
 
 
-def brute_solve(
-    g: Graph, k: int, d: int, budget: int | _Budget = DEFAULT_BUDGET, bct: BlockCutTree | None = None
-) -> Coloring | None:
+def brute_solve(g: Graph, k: int, d: int, budget: int | _Budget = DEFAULT_BUDGET) -> Coloring | None:
     """Decide whether an exact (k, d)-coloring exists; witness on yes, None on no.
 
     Components are independent (color classes may merge across them), so the
-    search runs per component.  `bct` is g's block-cut tree when the caller
-    has it.  Raises BudgetExceededError when the node budget runs out.
+    search runs per component.  Raises BudgetExceededError when the node
+    budget runs out.
     """
     if d < 0:
         raise BadParameterError("defect must be nonnegative")
@@ -54,24 +52,21 @@ def brute_solve(
         raise BadParameterError("color count must be nonnegative")
     if g.n == 0:
         return Coloring(k, ())
-    return None if k == 0 else _search(g, d, _Budget.of(budget), bct, k)
+    return None if k == 0 else _search(g, d, _Budget.of(budget), k)
 
 
-def brute_chi(
-    g: Graph, d: int, budget: int | _Budget = DEFAULT_BUDGET, bct: BlockCutTree | None = None
-) -> SolveOutcome:
+def brute_chi(g: Graph, d: int, budget: int | _Budget = DEFAULT_BUDGET) -> SolveOutcome:
     """Smallest k admitting an exact (k, d)-coloring, or the infeasible outcome.
 
     A component with an exact coloring has one with min(n // (d+1), B)
     colors, B its largest block: classes have d + 1 or more vertices, and
     as same-colored counts add up over blocks, root first along the
     block-cut tree each block's colors can be renamed injectively into
-    [0, B).  Failing there certifies infeasibility.  `bct` is g's
-    block-cut tree when the caller has it.
+    [0, B).  Failing there certifies infeasibility.
     """
     if d < 0:
         raise BadParameterError("defect must be nonnegative")
-    witness = _search(g, d, _Budget.of(budget), bct)
+    witness = _search(g, d, _Budget.of(budget))
     return INFEASIBLE if witness is None else SolveOutcome.finite(witness.k, witness)
 
 
@@ -80,14 +75,13 @@ def _kcap(order: int, block: int, d: int) -> int:
     return max(1, min(order // (d + 1), block))
 
 
-def _search(g: Graph, d: int, b: _Budget, bct: BlockCutTree | None, k: int | None = None):
-    """Both oracles' search on each component of bct (g's block-cut tree, built when None).
+def _search(g: Graph, d: int, b: _Budget, k: int | None = None):
+    """Both oracles' search on each component of g's block-cut tree (Graph.bct).
 
     Each component takes k colors, or without k the fewest from its clique
     bound up to _kcap.  None when the precheck or some component fails.
     """
-    bct = bct or block_cut_tree(g)
-    if not feasibility_precheck(g, d, bct.component_orders):
+    if not feasibility_precheck(g, d):
         return None
 
     def solve_one(h: Graph, block: int):
@@ -98,7 +92,7 @@ def _search(g: Graph, d: int, b: _Budget, bct: BlockCutTree | None, k: int | Non
                 return kk, color
         return None
 
-    return solve_by_component(g, bct.components(), solve_one)
+    return solve_by_component(g, g.bct.components(), solve_one)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
+import ast
 import random
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -32,6 +34,15 @@ def count_calls(monkeypatch, name, module=graphs):
     return calls
 
 
+def fresh(g):
+    """A new graph object with g's edges, which has built none of its structure yet.
+
+    A graph keeps its block-cut tree and elimination ordering once read, so
+    a test that counts how often they are built must solve a fresh object.
+    """
+    return xc.Graph(g.n, g.adj)
+
+
 def disjoint_union(g, h):
     return xc.build_graph(g.n + h.n, g.edges() + [(u + g.n, v + g.n) for u, v in h.edges()])
 
@@ -55,7 +66,7 @@ def clique_tree():
 def test_one_block_cut_tree_and_no_chordality_test(monkeypatch, g, d, algorithm):
     bct_calls = count_calls(monkeypatch, "block_cut_tree")
     chordal_calls = count_calls(monkeypatch, "is_chordal")
-    rep = xc.solve(g, d)
+    rep = xc.solve(fresh(g), d)
     assert rep.algorithm == algorithm
     assert len(bct_calls) == 1
     assert chordal_calls == []
@@ -267,7 +278,7 @@ def test_precheck_reports_the_condition_that_failed(g, d, reason):
 @pytest.mark.parametrize("g,d", [(xc.complete(23), 3), (xc.wheel(39), 1), (xc.cycle(61), 1)])
 def test_odd_order_at_odd_d_needs_no_block_cut_tree(monkeypatch, g, d):
     calls = count_calls(monkeypatch, "block_cut_tree")
-    rep = xc.solve(g, d)
+    rep = xc.solve(fresh(g), d)
     assert (rep.verdict, rep.algorithm, rep.reason) == (
         "infinite", "precheck", "d is odd and a component has odd order")
     assert calls == []
@@ -341,3 +352,49 @@ def test_long_path_needs_no_recursion(algorithm):
     g = xc.path(10**5)
     rep = xc.solve(g, 1, algorithm=algorithm)
     assert (rep.verdict, rep.chi) == ("yes", 2)
+
+
+def test_only_the_graph_builds_its_block_cut_tree():
+    # no solver takes a tree (bct=) or component orders (orders=) that could
+    # belong to another graph; every one reads Graph.bct
+    taken, builders = [], []
+    for path in sorted(Path(xc.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+                taken += [(path.name, getattr(node, "name", "lambda"), a)
+                          for a in sorted(names & {"bct", "orders"})]
+            elif isinstance(node, ast.Call):
+                f = node.func
+                if getattr(f, "id", getattr(f, "attr", None)) == "block_cut_tree":
+                    builders.append(path.name)
+    assert taken == []
+    assert builders == ["graphs.py"]
+
+
+def test_a_graph_builds_its_block_cut_tree_once(monkeypatch):
+    calls = count_calls(monkeypatch, "block_cut_tree")
+    g = xc.random_cactus(60, seed=4, style="petaled")
+    direct = xc.cactus_chi2(g)
+    rep = xc.solve(g, 2)
+    assert (rep.algorithm, rep.chi) == ("cactus", direct.chi)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("g", [xc.petersen(), xc.random_graph(12, 0.5, seed=3)])
+def test_d0_solve_tests_chordality_once(monkeypatch, g):
+    # chordal_greedy and max_clique both read the one Graph.peo
+    calls = count_calls(monkeypatch, "perfect_elimination_ordering")
+    h = fresh(g)
+    rep = xc.solve(h, 0)
+    assert rep.algorithm == "chromatic" and h.peo is None
+    assert len(calls) == 1
+
+
+def test_d0_block_graph_is_colored_off_its_block_cut_tree(monkeypatch):
+    calls = count_calls(monkeypatch, "perfect_elimination_ordering")
+    g = xc.random_block_graph(300, seed=2)
+    rep = xc.solve(g, 0)
+    assert (rep.algorithm, rep.chi) == ("chromatic", max(map(len, g.bct.blocks)))
+    assert calls == []
