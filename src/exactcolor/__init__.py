@@ -20,15 +20,14 @@ from .cactus import (
     cactus_label,
     cactus_preprocess,
 )
-from .chromatic import chromatic_number, clique_number, greedy_coloring, max_clique
-from .closedform import (
-    chi_complete,
-    chi_cycle,
-    chi_regular_trivial,
-    chi_tree,
-    chi_wheel,
+from .chromatic import (
+    chromatic_number,
     clique_lower_bound,
+    clique_number,
+    greedy_coloring,
+    max_clique,
 )
+from .closedform import chi_complete, chi_cycle, chi_regular_trivial, chi_tree, chi_wheel
 from .coloring import (
     Coloring,
     INFEASIBLE,

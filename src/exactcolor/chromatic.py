@@ -1,17 +1,17 @@
-"""Exact chromatic number and maximum clique.
+"""Exact chromatic number, maximum clique, and the one exact coloring search.
 
-A block graph is colored off its block-cut tree with as many colors as its
-largest block.  Other chordal graphs take a mandatory fast path: greedy
-coloring along the maximum-cardinality-search order is optimal and
-simultaneously yields the clique number.  Everything else tries each k
-from an exact clique lower bound up to a greedy upper bound with
-`_exact_k_coloring`, the package's one exact search (DSATUR order, with an
-exactly-d check that the oracle uses at d >= 1), under a node budget that
-raises instead of guessing.  Each budget parameter takes a node count or a
-`_Budget` shared with the caller, so one solve can charge every search it
-runs to a single budget.  The block-cut tree and the elimination ordering
-are the graph's own (Graph.bct, Graph.peo), built once whoever reads them
-first.
+`_search` runs `_exact_k_coloring` (DSATUR order, with an exactly-d check)
+on each component of the block-cut tree, for every d: it decides a given k,
+or finds the fewest colors from the clique bound up.  The chromatic number
+is its d = 0 case, where every proper coloring is an exact one, so a
+first-fit coloring ends the range: along the elimination ordering of a
+chordal component it is optimal and nothing is searched.  A block graph is
+colored off its block-cut tree with as many colors as its largest block.
+The searches run under a node budget that raises instead of guessing.  Each
+budget parameter takes a node count or a `_Budget` shared with the caller,
+so one solve can charge every search it runs to a single budget.  The
+block-cut tree and the elimination ordering are the graph's own (Graph.bct,
+Graph.peo), built once whoever reads them first.
 
 Intended for graphs of moderate size (tens of vertices) and for chordal
 graphs of any size; quotients by a block factor use graphs.color_factor.
@@ -20,10 +20,11 @@ graphs of any size; quotients by a block factor use graphs.color_factor.
 from __future__ import annotations
 
 import heapq
+import math
 
-from .coloring import Coloring, solve_by_component
-from .errors import BudgetExceededError
-from .graphs import Graph, color_factor
+from .coloring import Coloring, feasibility_precheck
+from .errors import BadParameterError, BudgetExceededError
+from .graphs import Graph, color_factor, induced_subgraph
 
 DEFAULT_BUDGET = 10**8
 
@@ -40,10 +41,10 @@ class _Budget:
         """A shared budget as it is, or a fresh one of `budget` nodes."""
         return budget if isinstance(budget, _Budget) else cls(budget)
 
-    def spend(self, amount: int = 1):
-        if amount > self.left:
-            raise BudgetExceededError(nodes=self.nodes - self.left)
-        self.left -= amount
+    def spend(self):
+        if not self.left:
+            raise BudgetExceededError(nodes=self.nodes)
+        self.left -= 1
 
 
 def greedy_coloring(g: Graph, order: list[int] | None = None) -> list[int]:
@@ -58,14 +59,6 @@ def greedy_coloring(g: Graph, order: list[int] | None = None) -> list[int]:
             c += 1
         color[v] = c
     return color
-
-
-def chordal_greedy(g: Graph) -> tuple[list[int], int] | None:
-    """(optimal coloring, clique number) when g is chordal, else None."""
-    if g.peo is None:
-        return None
-    color = greedy_coloring(g, g.peo[::-1])  # the maximum-cardinality-search order
-    return color, max(color, default=-1) + 1
 
 
 def max_clique(g: Graph, budget: int | _Budget = DEFAULT_BUDGET) -> list[int]:
@@ -117,6 +110,13 @@ def max_clique(g: Graph, budget: int | _Budget = DEFAULT_BUDGET) -> list[int]:
 
 def clique_number(g: Graph, budget: int | _Budget = DEFAULT_BUDGET) -> int:
     return len(max_clique(g, budget))
+
+
+def clique_lower_bound(g: Graph, d: int, budget: int | _Budget = DEFAULT_BUDGET) -> int:
+    """ceil(omega / (d+1)): no color may appear more than d+1 times in a clique."""
+    if d < 0:
+        raise BadParameterError("defect must be nonnegative")
+    return math.ceil(len(max_clique(g, budget)) / (d + 1))
 
 
 def _exact_k_coloring(g: Graph, k: int, d: int, b: _Budget) -> list[int] | None:
@@ -211,19 +211,56 @@ def _exact_k_coloring(g: Graph, k: int, d: int, b: _Budget) -> list[int] | None:
             c += 1
 
 
-def _chromatic_connected(g: Graph, b: _Budget) -> tuple[int, list[int]]:
-    fast = chordal_greedy(g)
-    if fast is not None:
-        color, omega = fast
-        return omega, color
-    lower = len(max_clique(g, b))
-    upper_coloring = greedy_coloring(g)
-    upper = max(upper_coloring, default=-1) + 1
-    for k in range(lower, upper):
-        attempt = _exact_k_coloring(g, k, 0, b)
-        if attempt is not None:
-            return k, attempt
-    return upper, upper_coloring
+def _kcap(order: int, block: int, d: int) -> int:
+    # see oracle.brute_chi; a component with no block is one vertex
+    return max(1, min(order // (d + 1), block))
+
+
+def _search(g: Graph, d: int, b: _Budget, k: int | None = None) -> Coloring | None:
+    """The exact search on each component of g's block-cut tree (Graph.bct).
+
+    Each component takes k colors, or without k the fewest from its clique
+    bound up to _kcap.  At d = 0 a first-fit coloring, along the reversed
+    elimination ordering when the component is chordal, ends that range and
+    answers when every smaller count fails.  Color classes may merge across
+    components, so the joined coloring offers the largest count.  None when
+    the precheck or some component fails.
+    """
+    if not feasibility_precheck(g, d):
+        return None
+
+    def solve_one(h: Graph, block: int):
+        cap = _kcap(h.n, block, d)
+        last = None  # the answer when every count tried fails
+        if k is not None:
+            tries = (k,)
+        else:
+            lower, upper = min(clique_lower_bound(h, d, b), cap), cap + 1
+            if not d:  # every proper coloring is exact, so a first-fit one bounds the range
+                color = greedy_coloring(h, None if h.peo is None else h.peo[::-1])
+                upper = max(color) + 1
+                last = upper, color
+            tries = range(lower, upper)
+        for kk in tries:
+            color = _exact_k_coloring(h, kk, d, b)
+            if color is not None:
+                return kk, color
+        return last
+
+    components = g.bct.components()
+    if len(components) == 1:  # a connected g is searched as it is
+        out = solve_one(g, components[0][1])
+        return None if out is None else Coloring(out[0], tuple(out[1]))
+    colors, assign = 0, [0] * g.n
+    for comp, block in components:
+        sub, verts = induced_subgraph(g, comp)
+        out = solve_one(sub, block)
+        if out is None:
+            return None
+        colors = max(colors, out[0])
+        for v, c in zip(verts, out[1]):
+            assign[v] = c
+    return Coloring(colors, tuple(assign))
 
 
 def chromatic_number(g: Graph, budget: int | _Budget = DEFAULT_BUDGET) -> tuple[int, Coloring]:
@@ -231,13 +268,12 @@ def chromatic_number(g: Graph, budget: int | _Budget = DEFAULT_BUDGET) -> tuple[
 
     A block graph is colored off its block-cut tree in linear time, each
     vertex its own class of graphs.color_factor: k is its largest block (a
-    clique), 1 with no edge.  Other graphs are solved per component of the
-    tree; the result is the maximum over components.  Raises
-    BudgetExceededError when the node budget runs out.
+    clique), 1 with no edge.  Other graphs go to _search at d = 0, per
+    component of the tree; the result is the maximum over components.
+    Raises BudgetExceededError when the node budget runs out.
     """
     if g.bct.is_block_graph:
         k, color = color_factor(g.n, g.bct.sweep, [(v,) for v in range(g.n)])
         return k, Coloring(k, tuple(color))
-    b = _Budget.of(budget)
-    coloring = solve_by_component(g, g.bct.components(), lambda h, _: _chromatic_connected(h, b))
+    coloring = _search(g, 0, _Budget.of(budget))
     return coloring.k, coloring

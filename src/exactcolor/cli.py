@@ -15,11 +15,10 @@ import json
 import sys
 
 from . import families
-from .chromatic import DEFAULT_BUDGET, chromatic_number
+from .chromatic import DEFAULT_BUDGET
 from .coloring import defects
 from .errors import ExactColoringError
 from .graph_io import load_graph, read_coloring, read_text, write_graph
-from .oracle import brute_solve
 from .reductions import (
     lift_solution,
     nae_satisfiable,
@@ -29,7 +28,7 @@ from .reductions import (
     reduce_nae3sat,
     reduce_planar_variant,
 )
-from .solver import ALGORITHMS, solve
+from .solver import ALGORITHMS, Report, solve
 
 EXIT_ANSWERED = 0
 EXIT_USAGE = 1
@@ -92,12 +91,20 @@ def cmd_generate(args) -> int:
 _CHECK_CAP = 40  # brute-force round-trip ceiling (target vertices)
 
 
+def _decide(g, d, k, algorithm="auto") -> Report:
+    """solve's decision on chi_d(g) <= k, its witness checked; an unknown verdict is an error."""
+    report = solve(g, d, k, algorithm)
+    if report.verdict == "unknown":
+        raise ExactColoringError(f"--check gave up: {report.reason}")
+    return report
+
+
 def _check_reduction(source_yes, target, k, d, rmap) -> None:
     if target.n > _CHECK_CAP:
         raise ExactColoringError(
             f"--check needs a target with at most {_CHECK_CAP} vertices (got {target.n})"
         )
-    witness = brute_solve(target, k, d)
+    witness = _decide(target, d, k, "brute").witness
     target_yes = witness is not None
     if source_yes != target_yes:
         raise ExactColoringError(
@@ -124,15 +131,15 @@ def cmd_reduce(args) -> int:
         if args.construction == "coloring":
             target, rmap = reduce_coloring_to_exact(g, args.k, args.d)
             check_k, check_d = args.k, args.d
-            source_yes = args.check and chromatic_number(g)[0] <= args.k
+            source_yes = args.check and _decide(g, 0, args.k).verdict == "yes"
         elif args.construction == "planar":
             target, rmap = reduce_planar_variant(g, args.d)
             check_k, check_d = 3, args.d
-            source_yes = args.check and chromatic_number(g)[0] <= 3
+            source_yes = args.check and _decide(g, 0, 3).verdict == "yes"
         else:  # increment; argparse admits no other construction
             target, rmap = reduce_increment_defect(g, args.d)
             check_k, check_d = 2, args.d + 2
-            source_yes = args.check and brute_solve(g, 2, args.d) is not None
+            source_yes = args.check and _decide(g, args.d, 2, "brute").verdict == "yes"
 
     out_fmt = "edgelist" if args.construction == "nae3sat" else (args.format or "edgelist")
     _emit(write_graph(target, out_fmt), args.output, sys.stdout)

@@ -9,12 +9,10 @@ defects are left to the brute-force oracle.
 
 from __future__ import annotations
 
-import math
-
-from .chromatic import DEFAULT_BUDGET, _Budget, chromatic_number, max_clique
+from .chromatic import chromatic_number
 from .coloring import Coloring, INFEASIBLE, SolveOutcome, monochromatic
 from .errors import BadParameterError, NotATreeError
-from .graphs import Graph, block_factor, color_factor, is_d_regular
+from .graphs import Graph, block_factor, color_factor, is_d_regular, is_tree
 
 
 def chi_cycle(n: int, d: int) -> SolveOutcome:
@@ -74,7 +72,7 @@ def chi_tree(g: Graph, d: int) -> SolveOutcome:
     has a leaf.  graphs.color_factor colors the pairs off the block sweep,
     whose blocks are the edges.
     """
-    if not (g.n >= 1 and g.m == g.n - 1 and len(g.bct.component_orders) == 1):
+    if not is_tree(g):
         raise NotATreeError("input is not a tree")
     if d < 0:
         raise BadParameterError("defect must be nonnegative")
@@ -99,13 +97,6 @@ def chi_complete(n: int, d: int) -> SolveOutcome:
         return INFEASIBLE
     k = n // (d + 1)
     return SolveOutcome.finite(k, Coloring(k, tuple(v // (d + 1) for v in range(n))))
-
-
-def clique_lower_bound(g: Graph, d: int, budget: int | _Budget = DEFAULT_BUDGET) -> int:
-    """ceil(omega / (d+1)): no color may appear more than d+1 times in a clique."""
-    if d < 0:
-        raise BadParameterError("defect must be nonnegative")
-    return math.ceil(len(max_clique(g, budget)) / (d + 1))
 
 
 def chi_regular_trivial(g: Graph, d: int) -> SolveOutcome | None:

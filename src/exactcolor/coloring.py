@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import LengthMismatchError, OutOfRangeError
-from .graphs import Graph, induced_subgraph
+from .graphs import Graph
 
 
 class _Coloring(NamedTuple):
@@ -82,29 +82,6 @@ def lift_coloring(n: int, parts, colors, k: int) -> Coloring:
     assign = [0] * n
     for part, c in zip(parts, colors):
         for v in part:
-            assign[v] = c
-    return Coloring(k, tuple(assign))
-
-
-def solve_by_component(g: Graph, components, solve_one) -> Coloring | None:
-    """Join per-component colorings of g; None as soon as one component has none.
-
-    components are BlockCutTree.components pairs; solve_one(h, block)
-    returns (colors available, color list of h's vertices) or None.  Color
-    classes may merge across components, so the joined coloring offers the
-    largest count.  A connected g goes to solve_one as it is.
-    """
-    if len(components) == 1:
-        out = solve_one(g, components[0][1])
-        return None if out is None else Coloring(out[0], tuple(out[1]))
-    k, assign = 0, [0] * g.n
-    for comp, block in components:
-        sub, verts = induced_subgraph(g, comp)
-        out = solve_one(sub, block)
-        if out is None:
-            return None
-        k = max(k, out[0])
-        for v, c in zip(verts, out[1]):
             assign[v] = c
     return Coloring(k, tuple(assign))
 

@@ -442,6 +442,11 @@ def is_d_regular(g: Graph, d: int) -> bool:
     return set(map(len, g.adj)) <= {d}
 
 
+def is_tree(g: Graph) -> bool:
+    """Connected with n - 1 edges (one vertex counts; the empty graph does not)."""
+    return g.n >= 1 and g.m == g.n - 1 and len(g.bct.component_orders) == 1
+
+
 class GraphClasses:
     """Structural facts about one graph, each computed on first use and then kept."""
 
@@ -450,7 +455,7 @@ class GraphClasses:
 
     @cached_property
     def is_tree(self) -> bool:
-        return self.g.n >= 1 and self.g.m == self.g.n - 1 and len(self.g.bct.component_orders) == 1
+        return is_tree(self.g)
 
     @property
     def is_cactus(self) -> bool:

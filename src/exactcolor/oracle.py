@@ -1,15 +1,15 @@
 """Ground-truth solvers for exact (k, d)-coloring on small graphs.
 
-Two routes are provided on purpose; they share only the exact search over
-the block-cut tree's components, at d in the first and at d = 0 on each
-quotient (through chromatic_number) in the second:
+Two routes are provided on purpose; they share only chromatic._search, the
+exact search over the block-cut tree's components, at d in the first and at
+d = 0 on each quotient (through chromatic_number) in the second:
 
 * ``brute_solve`` / ``brute_chi``: complete backtracking over colorings in
   DSATUR order with the exactly-d check (chromatic._exact_k_coloring).
 * ``chi_via_quotients``: enumerate partitions of the vertex set into
   connected d-regular induced subgraphs, contract each, and take the minimum
   chromatic number of the quotients; the witness colors each part with its
-  quotient color.
+  quotient color.  One node budget bounds the enumeration and every search.
 
 Partitions are restricted to connected parts: splitting a disconnected
 d-regular part into its components never increases the quotient chromatic
@@ -25,16 +25,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .chromatic import DEFAULT_BUDGET, _Budget, _exact_k_coloring, chromatic_number
-from .closedform import clique_lower_bound
-from .coloring import (
-    Coloring,
-    INFEASIBLE,
-    SolveOutcome,
-    feasibility_precheck,
-    lift_coloring,
-    solve_by_component,
-)
+from .chromatic import DEFAULT_BUDGET, _Budget, _search, chromatic_number, clique_lower_bound
+from .coloring import Coloring, INFEASIBLE, SolveOutcome, lift_coloring
 from .errors import BadParameterError
 from .graphs import Graph, contract_partition
 
@@ -62,37 +54,13 @@ def brute_chi(g: Graph, d: int, budget: int | _Budget = DEFAULT_BUDGET) -> Solve
     colors, B its largest block: classes have d + 1 or more vertices, and
     as same-colored counts add up over blocks, root first along the
     block-cut tree each block's colors can be renamed injectively into
-    [0, B).  Failing there certifies infeasibility.
+    [0, B).  Failing there certifies infeasibility.  At d = 0 a first-fit
+    coloring ends the search early, as in chromatic_number.
     """
     if d < 0:
         raise BadParameterError("defect must be nonnegative")
     witness = _search(g, d, _Budget.of(budget))
     return INFEASIBLE if witness is None else SolveOutcome.finite(witness.k, witness)
-
-
-def _kcap(order: int, block: int, d: int) -> int:
-    # see brute_chi; a component with no block is one vertex
-    return max(1, min(order // (d + 1), block))
-
-
-def _search(g: Graph, d: int, b: _Budget, k: int | None = None):
-    """Both oracles' search on each component of g's block-cut tree (Graph.bct).
-
-    Each component takes k colors, or without k the fewest from its clique
-    bound up to _kcap.  None when the precheck or some component fails.
-    """
-    if not feasibility_precheck(g, d):
-        return None
-
-    def solve_one(h: Graph, block: int):
-        cap = _kcap(h.n, block, d)
-        for kk in (k,) if k is not None else range(min(clique_lower_bound(h, d, b), cap), cap + 1):
-            color = _exact_k_coloring(h, kk, d, b)
-            if color is not None:
-                return kk, color
-        return None
-
-    return solve_by_component(g, g.bct.components(), solve_one)
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +121,7 @@ def enumerate_regular_partitions(
     g: Graph,
     d: int,
     limit: int | None = None,
-    budget: int = DEFAULT_BUDGET,
+    budget: int | _Budget = DEFAULT_BUDGET,
 ) -> list[RegularPartition]:
     """All partitions of V into connected d-regular induced subgraphs.
 
@@ -164,7 +132,7 @@ def enumerate_regular_partitions(
     """
     if d < 0:
         raise BadParameterError("defect must be nonnegative")
-    b = _Budget(budget)
+    b = _Budget.of(budget)
     out: list[RegularPartition] = []
     avail = set(range(g.n))
     parts: list[tuple[int, ...]] = []
@@ -193,25 +161,27 @@ def enumerate_regular_partitions(
 
 
 def chi_via_quotients(
-    g: Graph, d: int, budget: int = DEFAULT_BUDGET
+    g: Graph, d: int, budget: int | _Budget = DEFAULT_BUDGET
 ) -> SolveOutcome:
     """Exact defective chromatic number as min over quotient chromatic numbers.
 
     Infeasible when no partition into d-regular induced subgraphs exists;
     otherwise the minimum chromatic number over all contracted quotients,
     with the witness obtained by blowing the best quotient coloring back up
-    (every part takes its quotient vertex's color).
+    (every part takes its quotient vertex's color).  The enumeration, the
+    clique bound and every quotient's search share one `budget`.
     """
     if g.n == 0:
         return SolveOutcome.finite(0, Coloring(0, ()))
-    partitions = enumerate_regular_partitions(g, d, budget=budget)
+    b = _Budget.of(budget)
+    partitions = enumerate_regular_partitions(g, d, budget=b)
     if not partitions:
         return INFEASIBLE
-    lower = clique_lower_bound(g, d, budget)
+    lower = clique_lower_bound(g, d, b)
     best: Coloring | None = None
     for rp in partitions:
         quotient = contract_partition(g, rp.parts)
-        q_chi, q_col = chromatic_number(quotient, budget)
+        q_chi, q_col = chromatic_number(quotient, b)
         if best is None or q_chi < best.k:
             best = lift_coloring(g.n, rp.parts, q_col.assign, q_chi)
             if best.k <= lower:

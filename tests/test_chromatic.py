@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import pytest
 
 from exactcolor import (
@@ -10,14 +13,16 @@ from exactcolor import (
     greedy_coloring,
     is_chordal,
     cycle,
+    icosahedron,
     is_proper,
     max_clique,
+    octahedron,
     path,
     petersen,
     random_graph,
     wheel,
 )
-from exactcolor.chromatic import _Budget, _exact_k_coloring, chordal_greedy
+from exactcolor.chromatic import _Budget, _exact_k_coloring
 from conftest import chi_exhaustive
 
 
@@ -67,16 +72,58 @@ class TestChromaticNumber:
 
 
 class TestChordalFastPath:
+    """A chordal component is colored along its elimination ordering, spending no node."""
+
     def test_trees_and_cliques(self):
-        assert chordal_greedy(path(7)) is not None
-        assert chordal_greedy(complete(5))[1] == 5
-        assert chordal_greedy(cycle(5)) is None
+        assert chromatic_number(path(7), budget=0)[0] == 2
+        assert chromatic_number(complete(5), budget=0)[0] == 5
+        with pytest.raises(BudgetExceededError):
+            chromatic_number(cycle(5), budget=0)
 
     def test_chordal_vs_search_agree(self):
         # block-ish chordal graph: triangles sharing edges
         g = build_graph(5, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (3, 4), (2, 4)])
-        col, omega = chordal_greedy(g)
-        assert omega == chi_exhaustive(g) == 3
+        chi, col = chromatic_number(g, budget=0)
+        assert chi == chi_exhaustive(g) == 3
+        assert is_proper(g, col)
+
+    def test_elimination_order_where_degree_order_is_not_optimal(self):
+        # chordal, not a block graph; first-fit in degree order takes 4 colors
+        g = build_graph(7, [(0, 1), (1, 2), (1, 3), (2, 3), (2, 5), (2, 6), (3, 6), (4, 5), (5, 6)])
+        assert max(greedy_coloring(g)) + 1 == 4
+        chi, col = chromatic_number(g, budget=0)
+        assert chi == chi_exhaustive(g) == 3
+        assert is_proper(g, col)
+
+
+NODE_COUNTS = {
+    "petersen": (petersen(), 21), "W8": (wheel(8), 20), "W9": (wheel(9), 14),
+    "icosahedron": (icosahedron(), 26), "octahedron": (octahedron(), 12),
+    **{f"G({n},0.5,{s})": (random_graph(n, 0.5, s), nodes) for n, s, nodes in (
+        (16, 0, 53), (16, 1, 68), (18, 0, 66), (18, 1, 50), (20, 0, 96), (22, 0, 83))},
+}
+
+
+@pytest.mark.parametrize("name", NODE_COUNTS)
+def test_chromatic_number_node_counts(name):
+    # the search from the clique bound to the first-fit count, which ends the range
+    g, nodes = NODE_COUNTS[name]
+    b = _Budget(10**8)
+    chromatic_number(g, b)
+    assert b.nodes - b.left == nodes
+
+
+def test_only_the_search_calls_the_exact_coloring():
+    src = Path(__file__).resolve().parent.parent / "src" / "exactcolor"
+    callers = set()
+    for path_ in sorted(src.glob("*.py")):
+        for top in ast.parse(path_.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and "_exact_k_coloring" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)
+                ):
+                    callers.add((path_.name, getattr(top, "name", None)))
+    assert callers == {("chromatic.py", "_search")}
 
 
 class TestMaxClique:

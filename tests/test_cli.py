@@ -285,6 +285,21 @@ class TestReduce:
         )
         assert code == 0 and "NO" in out
 
+    @pytest.mark.parametrize("construction,text", [
+        ("coloring", "5 5\n0 1\n1 2\n2 3\n3 4\n4 0\n"),   # the source search gives up
+        ("nae3sat", "p nae 4 2\n1 2 3 0\n1 3 4 0\n"),      # the target search gives up
+    ])
+    def test_check_that_gives_up_exit_1(self, capsys, tmp_path, monkeypatch, construction, text):
+        src = tmp_path / "in.txt"
+        src.write_text(text)
+        real = cli.solve
+        monkeypatch.setattr(cli, "solve", lambda g, d, k, algorithm="auto": real(g, d, k, algorithm, 0))
+        code, _, err = run(
+            capsys, "reduce", construction, str(src), "--check", "-o", str(tmp_path / "out.txt"),
+        )
+        assert code == 1
+        assert err.endswith("error: --check gave up: node budget exhausted (after 0 nodes)\n")
+
     def test_check_cap(self, capsys, tmp_path):
         src = tmp_path / "big.txt"
         main(["generate", "cycle", "--n", "30", "-o", str(src)])

@@ -188,13 +188,13 @@ def glued_blocks(n, rng):
 
 def test_oracle_cap_at_the_largest_block_keeps_answers_and_saves_nodes(monkeypatch):
     rng = random.Random(14)
-    new_cap = oracle._kcap
+    new_cap = chromatic._kcap
     saved = finite = 0
     for case in range(1200):  # the cap saves nodes only on infinite answers with small blocks
         g, d = glued_blocks(rng.randint(4, 12), rng), 1 + case % 3
         runs = []
         for cap in (lambda order, block, d: max(1, order // (d + 1)), new_cap):  # old cap, then new
-            monkeypatch.setattr(oracle, "_kcap", cap)
+            monkeypatch.setattr(chromatic, "_kcap", cap)
             budget = _Budget(10**7)
             runs.append((oracle.brute_chi(g, d, budget), budget.nodes - budget.left))
         (old, old_nodes), (new, new_nodes) = runs

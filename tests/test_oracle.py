@@ -6,6 +6,7 @@ from exactcolor import (
     brute_solve,
     build_graph,
     chi_via_quotients,
+    chromatic_number,
     clique_lower_bound,
     complete,
     connected_components,
@@ -19,7 +20,15 @@ from exactcolor import (
     tightness_gadget,
     wheel,
 )
+from exactcolor.chromatic import _Budget
 from conftest import exact_coloring_exists_naive, regular_partitions_filter
+
+
+def spent(fn, g, *args):
+    """fn's answer and the nodes it spent."""
+    b = _Budget(10**6)
+    out = fn(g, *args, b)
+    return out, b.nodes - b.left
 
 
 class TestBruteSolve:
@@ -84,6 +93,18 @@ class TestBruteChi:
         g = random_graph(24, 0.5, seed=1)
         out = brute_chi(g, 1, budget=20_000)
         assert out.chi == 5 and is_exact_coloring(g, out.witness, 1)
+
+    def test_clique_bound_above_the_cap_still_tries_the_cap(self):
+        # K5 at d = 2: clique bound 2, cap 5 // 3 = 1; k = 1 is searched and fails
+        out, nodes = spent(brute_chi, complete(5), 2)
+        assert out.is_infeasible and nodes == 4
+
+    @pytest.mark.parametrize("g", [petersen(), wheel(8), wheel(9), random_graph(16, 0.5, 0),
+                                   random_graph(18, 0.5, 1), cycle(7)])
+    def test_d0_runs_the_chromatic_number_search(self, g):
+        # the same chi, witness and nodes: a first-fit coloring ends the range
+        (out, nodes), ((chi, col), chi_nodes) = spent(brute_chi, g, 0), spent(chromatic_number, g)
+        assert (out.chi, out.witness, nodes) == (chi, col, chi_nodes)
 
     def test_disjoint_union_takes_max(self):
         # triangle (chi_2 = 1) next to a K6 (chi_1 = 3): disjoint answers merge
@@ -164,6 +185,13 @@ class TestChiViaQuotients:
         assert (a.chi, a.is_infeasible) == (b.chi, b.is_infeasible)
         if a.is_finite:
             assert is_exact_coloring(g, b.witness, d)
+
+    def test_one_budget_bounds_the_enumeration_and_every_search(self):
+        out, nodes = spent(chi_via_quotients, petersen(), 1)
+        assert out.chi == 5 and nodes == 129
+        assert chi_via_quotients(petersen(), 1, budget=nodes).chi == 5
+        with pytest.raises(BudgetExceededError):
+            chi_via_quotients(petersen(), 1, budget=nodes - 1)
 
     def test_d1_equals_min_over_perfect_matchings(self):
         # the defect-1 case specializes to contracting perfect matchings

@@ -384,7 +384,7 @@ def test_a_graph_builds_its_block_cut_tree_once(monkeypatch):
 
 @pytest.mark.parametrize("g", [xc.petersen(), xc.random_graph(12, 0.5, seed=3)])
 def test_d0_solve_tests_chordality_once(monkeypatch, g):
-    # chordal_greedy and max_clique both read the one Graph.peo
+    # the first-fit order and max_clique both read the one Graph.peo
     calls = count_calls(monkeypatch, "perfect_elimination_ordering")
     h = fresh(g)
     rep = xc.solve(h, 0)
