@@ -41,7 +41,7 @@ def main():
 
     res = cactus_label(aux)
     print("labels:", dict(enumerate(res.labels)))
-    coloring = cactus_extract_coloring(g, aux, res)
+    coloring = cactus_extract_coloring(aux, res)
     print("coloring:", coloring.assign)
     assert is_exact_coloring(g, coloring, 2)
     print("the coloring is a valid exact (2,2)-coloring\n")
@@ -56,7 +56,7 @@ def main():
     aux = cactus_preprocess(ring)
     res = cactus_label(aux)
     print("odd core labels:", dict(enumerate(res.labels)))
-    out = cactus_extract_coloring(ring, aux, res)
+    out = cactus_extract_coloring(aux, res)
     print(f"the P core is odd, so the extraction needs {out.k} colors:", out.assign)
     assert is_exact_coloring(ring, out, 2)
     print(f"chi_2 = {cactus_chi2(ring).chi}, matches brute force =", brute_chi(ring, 2).chi)

@@ -61,20 +61,16 @@ class NoReason(Enum):
 class CactusAux:
     """Block structure of a cactus, read off its block-cut tree (Graph.bct).
 
-    rings is the tree's leaves-first sweep, which every solver here reads.
-    A ring of three or more vertices is a cycle in cyclic order, and
-    cycles lists them in sweep order, so cycle i is the i-th such ring.
-    The rest is built on first use: cliques[j] lists the cycles containing
-    vertex j, and has_w[i] says cycle i contains a cycle-simplicial vertex
-    (one lying on no other cycle), which only a rejection's reason needs.
+    Every solver here reads the tree's leaves-first sweep, g.bct.sweep.  A
+    ring of three or more vertices is a cycle in cyclic order, and cycles
+    lists them in sweep order, so cycle i is the i-th such ring.  The rest
+    is built on first use: cliques[j] lists the cycles containing vertex j,
+    and has_w[i] says cycle i contains a cycle-simplicial vertex (one lying
+    on no other cycle), which only a rejection's reason needs.
     """
 
     def __init__(self, g: Graph):
         self.g = g
-
-    @property
-    def rings(self) -> tuple[tuple[int | None, tuple[int, ...]], ...]:
-        return self.g.bct.sweep
 
     @cached_property
     def cycles(self) -> tuple[tuple[int, ...], ...]:
@@ -124,7 +120,7 @@ def cactus_label(aux: CactusAux) -> LabelResult:
     taken = bytearray(aux.g.n)
     is_taken = taken.__getitem__
     labels = []
-    for _, ring in aux.rings:
+    for _, ring in aux.g.bct.sweep:
         if len(ring) < 3:  # a root or a bridge: its last vertex must be taken
             if not taken[ring[-1]]:
                 return LabelResult(None, _reason(aux, NoReason.ALL_P_CLIQUE))
@@ -150,19 +146,17 @@ def _reason(aux: CactusAux, found: NoReason) -> NoReason:
     return found
 
 
-def cactus_extract_coloring(
-    g: Graph, aux: CactusAux, labeling: LabelResult | tuple[str, ...]
-) -> Coloring:
-    """Turn a complete M/P labeling into an exact (k, 2)-coloring with the fewest colors.
+def cactus_extract_coloring(aux: CactusAux, labeling: LabelResult) -> Coloring:
+    """Turn a complete M/P labeling of aux.g into an exact (k, 2)-coloring with the fewest colors.
 
     Each M cycle is one class, and graphs.color_factor colors the classes
-    properly off the block sweep.
+    properly off the block sweep.  A rejected labeling raises
+    IncompleteLabelingError.
     """
-    labels = labeling.labels if isinstance(labeling, LabelResult) else tuple(labeling)
-    if labels is None or any(lab is None for lab in labels):
+    if not labeling.ok:
         raise IncompleteLabelingError("labeling is not complete")
-    classes = [cyc for lab, cyc in zip(labels, aux.cycles) if lab == M]
-    k, color = color_factor(g.n, aux.rings, classes, cyclic=True)
+    classes = [cyc for lab, cyc in zip(labeling.labels, aux.cycles) if lab == M]
+    k, color = color_factor(aux.g.n, aux.g.bct.sweep, classes, cyclic=True)
     return Coloring(k, tuple(color))
 
 
@@ -176,7 +170,7 @@ def cactus_chi2(g: Graph) -> SolveOutcome:
     res = cactus_label(aux)
     if not res.ok:
         return INFEASIBLE
-    c = cactus_extract_coloring(g, aux, res)
+    c = cactus_extract_coloring(aux, res)
     return SolveOutcome.finite(c.k, c)
 
 
@@ -188,9 +182,9 @@ def cactus_chi1(g: Graph) -> SolveOutcome:
     matched inside C exactly when the pieces hanging off it have even
     order, so the image of C in G/M has the same length for every M.
     """
-    aux = cactus_preprocess(g)
-    pairs = block_factor(g.n, aux.rings, 2, cyclic=True)
+    cactus_preprocess(g)
+    pairs = block_factor(g.n, g.bct.sweep, 2, cyclic=True)
     if pairs is None:
         return INFEASIBLE
-    k, color = color_factor(g.n, aux.rings, pairs, cyclic=True)
+    k, color = color_factor(g.n, g.bct.sweep, pairs, cyclic=True)
     return SolveOutcome.finite(k, Coloring(k, tuple(color)))

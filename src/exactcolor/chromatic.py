@@ -66,7 +66,7 @@ def max_clique(g: Graph, budget: int | _Budget = DEFAULT_BUDGET) -> list[int]:
 
     Chordal graphs (which include block graphs) short-circuit through the
     elimination ordering; otherwise a branch and bound over candidate sets
-    runs within `budget` expansion nodes.
+    runs on an explicit stack within `budget` expansion nodes.
     """
     if g.n == 0:
         return []
@@ -84,27 +84,27 @@ def max_clique(g: Graph, budget: int | _Budget = DEFAULT_BUDGET) -> list[int]:
     pos = [0] * g.n
     for i, v in enumerate(order):
         pos[v] = i
-    best: list[int] = []
-
-    def expand(clique: list[int], cand: list[int]):
-        nonlocal best
+    best, clique = [], []  # clique holds the vertex picked at each level below the top
+    stack = [(order, 0)]  # (candidates, next index) per level
+    b.spend()
+    while stack:
+        cand, i = stack[-1]
+        if len(clique) + len(cand) - i <= len(best):  # cand[i:] cannot beat best
+            stack.pop()
+            if clique:
+                clique.pop()
+            continue
+        v = cand[i]
+        stack[-1] = (cand, i + 1)
+        if clique:
+            later = [u for u in cand[i + 1:] if g.has_edge(u, v)]
+        else:  # the top level, where cand is order: v's later neighbors, in order
+            later = sorted([w for w in g.adj[v] if pos[w] > i], key=pos.__getitem__)
+        clique.append(v)
         b.spend()
         if len(clique) > len(best):
             best = list(clique)
-        if len(clique) + len(cand) <= len(best):
-            return
-        for i, v in enumerate(cand):
-            if len(clique) + len(cand) - i <= len(best):
-                return
-            if clique:
-                later = [u for u in cand[i + 1:] if g.has_edge(u, v)]
-            else:  # the top level, where cand is order: v's later neighbors, in order
-                later = sorted([w for w in g.adj[v] if pos[w] > i], key=pos.__getitem__)
-            clique.append(v)
-            expand(clique, later)
-            clique.pop()
-
-    expand([], order)
+        stack.append((later, 0))
     return sorted(best)
 
 
@@ -220,11 +220,12 @@ def _search(g: Graph, d: int, b: _Budget, k: int | None = None) -> Coloring | No
     """The exact search on each component of g's block-cut tree (Graph.bct).
 
     Each component takes k colors, or without k the fewest from its clique
-    bound up to _kcap.  At d = 0 a first-fit coloring, along the reversed
-    elimination ordering when the component is chordal, ends that range and
-    answers when every smaller count fails.  Color classes may merge across
-    components, so the joined coloring offers the largest count.  None when
-    the precheck or some component fails.
+    bound up to _kcap.  At d = 0 a first-fit coloring ends that range and
+    answers when every smaller count fails; on a chordal component it runs
+    along the reversed elimination ordering, is optimal and answers at once,
+    so the clique bound is computed only where a range is searched.  Color
+    classes may merge across components, so the joined coloring offers the
+    largest count.  None when the precheck or some component fails.
     """
     if not feasibility_precheck(g, d):
         return None
@@ -235,12 +236,14 @@ def _search(g: Graph, d: int, b: _Budget, k: int | None = None) -> Coloring | No
         if k is not None:
             tries = (k,)
         else:
-            lower, upper = min(clique_lower_bound(h, d, b), cap), cap + 1
+            upper = cap + 1
             if not d:  # every proper coloring is exact, so a first-fit one bounds the range
                 color = greedy_coloring(h, None if h.peo is None else h.peo[::-1])
                 upper = max(color) + 1
                 last = upper, color
-            tries = range(lower, upper)
+                if h.peo is not None:  # optimal along the elimination ordering
+                    return last
+            tries = range(min(clique_lower_bound(h, d, b), cap), upper)
         for kk in tries:
             color = _exact_k_coloring(h, kk, d, b)
             if color is not None:

@@ -67,23 +67,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    name = args.family.replace("-", "_")
-    params = {}
-    if name in ("cycle", "path", "complete", "wheel", "star",
-                "random_cactus", "random_block_graph", "random_graph"):
-        params["n"] = args.n
-    elif name in ("cartesian_k2_complete", "categorical_k2_complete"):
-        params["m"] = args.m
-    if None in params.values():
-        raise ExactColoringError(f"family {args.family} needs --{next(iter(params))}")
-    if name == "random_cactus":
-        g = families.random_cactus(args.n, seed=args.seed, style=args.style)
-    elif name == "random_block_graph":
-        g = families.random_block_graph(args.n, seed=args.seed)
-    elif name == "random_graph":
-        g = families.random_graph(args.n, p=args.p, seed=args.seed)
-    else:
-        g = families.gen_family(name, **params)
+    params = {name: getattr(args, name) for name in families.family_params(args.family)}
+    missing = [name for name, value in params.items() if value is None]
+    if missing:
+        raise ExactColoringError(f"family {args.family} needs --{missing[0]}")
+    g = families.gen_family(args.family, **params)
     _emit(write_graph(g, args.format), args.output, sys.stdout)
     return EXIT_ANSWERED
 
@@ -176,10 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pg = sub.add_parser("generate", help="write a family graph as EDGELIST/DIMACS")
     pg.add_argument(
-        "family",
-        help="cycle|path|complete|wheel|star|petersen|octahedron|icosahedron|"
-        "tightness-gadget|cartesian-k2-complete|categorical-k2-complete|"
-        "random-cactus|random-block-graph|random-graph",
+        "family", help="|".join(name.replace("_", "-") for name in families.family_names())
     )
     pg.add_argument("--n", type=int, default=None)
     pg.add_argument("--m", type=int, default=None)

@@ -9,10 +9,11 @@ defects are left to the brute-force oracle.
 
 from __future__ import annotations
 
+from .blockgraph import blockgraph_chi
 from .chromatic import chromatic_number
 from .coloring import Coloring, INFEASIBLE, SolveOutcome, monochromatic
 from .errors import BadParameterError, NotATreeError
-from .graphs import Graph, block_factor, color_factor, is_d_regular, is_tree
+from .graphs import Graph, is_d_regular, is_tree
 
 
 def chi_cycle(n: int, d: int) -> SolveOutcome:
@@ -64,27 +65,20 @@ def chi_wheel(n: int, d: int) -> SolveOutcome:
 
 
 def chi_tree(g: Graph, d: int) -> SolveOutcome:
-    """Exact d-defective chromatic number of a tree, off its block-cut tree.
+    """Exact d-defective chromatic number of a tree, which is a block graph.
 
     d = 0 gives 2 (1 on one vertex), as chromatic_number colors any block
-    graph; d = 1 gives chi(T/M) for the unique perfect matching M (1 for
-    K2, else 2), or infinite without one; d >= 2 is infeasible, as a tree
-    has a leaf.  graphs.color_factor colors the pairs off the block sweep,
-    whose blocks are the edges.
+    graph.  Every d >= 1 is blockgraph_chi's: at d = 1 chi(T/M) for the
+    unique perfect matching M (1 for K2, else 2), or infinite without one;
+    at d >= 2 infinite, as the K_{d+1}-factor fails at a leaf edge.
     """
     if not is_tree(g):
         raise NotATreeError("input is not a tree")
     if d < 0:
         raise BadParameterError("defect must be nonnegative")
-    if d >= 2:
-        return INFEASIBLE
     if d == 0:
         return SolveOutcome.finite(*chromatic_number(g))
-    pairs = block_factor(g.n, g.bct.sweep, 2)
-    if pairs is None:
-        return INFEASIBLE
-    k, color = color_factor(g.n, g.bct.sweep, pairs)
-    return SolveOutcome.finite(k, Coloring(k, tuple(color)))
+    return blockgraph_chi(g, d)
 
 
 def chi_complete(n: int, d: int) -> SolveOutcome:

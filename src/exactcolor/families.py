@@ -108,39 +108,6 @@ def icosahedron() -> Graph:
     return build_graph(12, edges)
 
 
-_FAMILIES = {
-    "cycle": (cycle, ("n",)),
-    "path": (path, ("n",)),
-    "complete": (complete, ("n",)),
-    "wheel": (wheel, ("n",)),
-    "star": (star, ("n",)),
-    "petersen": (petersen, ()),
-    "cartesian_k2_complete": (cartesian_k2_complete, ("m",)),
-    "categorical_k2_complete": (categorical_k2_complete, ("m",)),
-    "tightness_gadget": (tightness_gadget, ()),
-    "octahedron": (octahedron, ()),
-    "icosahedron": (icosahedron, ()),
-}
-
-
-def family_names() -> list[str]:
-    return sorted(_FAMILIES)
-
-
-def gen_family(name: str, **params) -> Graph:
-    """Build a named family graph, e.g. gen_family("cycle", n=8).
-
-    Unknown names and missing/extra parameters raise BadParameterError.
-    """
-    key = name.replace("-", "_")
-    if key not in _FAMILIES:
-        raise BadParameterError(f"unknown family {name!r}; known: {', '.join(family_names())}")
-    fn, wanted = _FAMILIES[key]
-    if set(params) != set(wanted):
-        raise BadParameterError(f"family {name!r} takes parameters {wanted}, got {tuple(params)}")
-    return fn(**params)
-
-
 # ---------------------------------------------------------------------------
 # Seeded random families for the test corpus
 # ---------------------------------------------------------------------------
@@ -253,3 +220,45 @@ def random_block_graph(n: int, seed: int) -> Graph:
             (block[a], block[b]) for a in range(size) for b in range(a + 1, size)
         ]
     return build_graph(n, edges)
+
+
+# every generator by name, with the parameters gen_family takes
+_FAMILIES = {
+    "cycle": (cycle, ("n",)),
+    "path": (path, ("n",)),
+    "complete": (complete, ("n",)),
+    "wheel": (wheel, ("n",)),
+    "star": (star, ("n",)),
+    "petersen": (petersen, ()),
+    "cartesian_k2_complete": (cartesian_k2_complete, ("m",)),
+    "categorical_k2_complete": (categorical_k2_complete, ("m",)),
+    "tightness_gadget": (tightness_gadget, ()),
+    "octahedron": (octahedron, ()),
+    "icosahedron": (icosahedron, ()),
+    "random_graph": (random_graph, ("n", "p", "seed")),
+    "random_cactus": (random_cactus, ("n", "seed", "style")),
+    "random_block_graph": (random_block_graph, ("n", "seed")),
+}
+
+
+def family_names() -> list[str]:
+    return sorted(_FAMILIES)
+
+
+def family_params(name: str) -> tuple[str, ...]:
+    """The parameters gen_family takes for a family; BadParameterError for an unknown name."""
+    key = name.replace("-", "_")
+    if key not in _FAMILIES:
+        raise BadParameterError(f"unknown family {name!r}; known: {', '.join(family_names())}")
+    return _FAMILIES[key][1]
+
+
+def gen_family(name: str, **params) -> Graph:
+    """Build a named family graph, e.g. gen_family("cycle", n=8).
+
+    Unknown names and missing/extra parameters raise BadParameterError.
+    """
+    wanted = family_params(name)
+    if set(params) != set(wanted):
+        raise BadParameterError(f"family {name!r} takes parameters {wanted}, got {tuple(params)}")
+    return _FAMILIES[name.replace("-", "_")][0](**params)

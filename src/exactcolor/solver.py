@@ -60,14 +60,6 @@ class Route(NamedTuple):
     run: Callable[[GraphClasses, int, int | None, _Budget], SolveOutcome | Coloring | None]
 
 
-def _cactus(s: GraphClasses, d: int, k, budget: _Budget) -> SolveOutcome:
-    if d == 2:
-        return cactus_chi2(s.g)
-    if d == 1:
-        return cactus_chi1(s.g)
-    raise ExactColoringError("cactus algorithms cover d in {1, 2}")
-
-
 def _brute(s: GraphClasses, d: int, k, budget: _Budget) -> SolveOutcome | Coloring | None:
     if k is None:
         return brute_chi(s.g, d, budget=budget)
@@ -83,17 +75,18 @@ def _relabel(outcome: SolveOutcome, order: list[int]) -> SolveOutcome:
     return SolveOutcome.finite(outcome.chi, lifted)
 
 
-# The runs look solvers up by name when called, so wrapping a solver in its
-# module namespace (as a tracer does) also wraps it here.  Auto always
-# computes chi, even for a decision query; only a forced brute search decides
-# "chi_d <= k" directly, and then reports no chi.  The precheck applies with
-# the failed condition, which becomes the report's reason.  Every solver
-# reads the block-cut tree off its graph (Graph.bct), which builds it once.
+# A route's test is the whole statement of its domain: the cactus rows cover
+# d = 2 and d = 1, the block-graph row d >= 1.  The runs look solvers up by
+# name when called, so wrapping a solver in its module namespace (as a tracer
+# does) also wraps it here.  Auto always computes chi, even for a decision
+# query; only a forced brute search decides "chi_d <= k" directly, and then
+# reports no chi.  The precheck applies with the failed condition, which
+# becomes the report's reason.  Every solver reads the block-cut tree off its
+# graph (Graph.bct), which builds it once.
 ROUTES = (
     Route("chromatic", None, lambda s, d: d == 0,
           lambda s, d, k, budget: SolveOutcome.finite(*chromatic_number(s.g, budget))),
     Route("precheck", None, lambda s, d: infeasibility_reason(s.g, d), lambda *_: INFEASIBLE),
-    Route("brute", None, lambda s, d: s.g.n == 0, lambda s, d, k, b: _brute(s, d, None, b)),
     Route("closedform:regular", "closedform", lambda s, d: s.regular_degree == d,
           lambda s, d, *_: chi_regular_trivial(s.g, d)),
     Route("closedform:complete", "closedform", lambda s, d: s.is_complete,
@@ -104,10 +97,13 @@ ROUTES = (
           lambda s, d, *_: _relabel(chi_cycle(s.g.n, d), s.cycle_order)),
     Route("closedform:wheel", "closedform", lambda s, d: d == 1 and s.wheel_order,
           lambda s, d, *_: _relabel(chi_wheel(s.g.n, d), s.wheel_order)),
-    Route("cactus", "cactus", lambda s, d: s.is_cactus, _cactus),
-    Route("blockgraph", "blockgraph", lambda s, d: s.is_block_graph,
+    Route("cactus", "cactus", lambda s, d: d == 2 and s.is_cactus,
+          lambda s, d, *_: cactus_chi2(s.g)),
+    Route("cactus", "cactus", lambda s, d: d == 1 and s.is_cactus,
+          lambda s, d, *_: cactus_chi1(s.g)),
+    Route("blockgraph", "blockgraph", lambda s, d: d >= 1 and s.is_block_graph,
           lambda s, d, *_: blockgraph_chi(s.g, d)),
-    Route("brute", None, lambda s, d: True, lambda s, d, k, b: _brute(s, d, None, b)),
+    Route("brute", None, lambda s, d: True, lambda s, d, k, b: brute_chi(s.g, d, budget=b)),
     Route("brute", "brute", lambda s, d: True, _brute),
 )
 

@@ -9,7 +9,6 @@ import pytest
 from exactcolor import (
     block_cut_tree,
     build_graph,
-    cactus_preprocess,
     clique_factor,
     is_chordal,
     random_block_graph,
@@ -77,8 +76,8 @@ def test_cactus_perfect_matching_exists_iff_maximum_matching_is_perfect(style):
     for n in (2, 3, 4, 6, 8, 10, 13, 16, 20, 31, 40, 60, 100, 200, 400):
         for seed in range(3):
             g = random_cactus(n, seed=seed, style=style)
-            aux = cactus_preprocess(g)
-            pairs = block_factor(g.n, aux.rings, 2, cyclic=True)
+            assert g.bct.is_cactus
+            pairs = block_factor(g.n, g.bct.sweep, 2, cyclic=True)
             maximum = nx.max_weight_matching(to_networkx(g), maxcardinality=True)
             assert (pairs is not None) == (2 * len(maximum) == g.n), (n, seed)
             if pairs is not None:

@@ -1,5 +1,6 @@
-"""tools/answer_digest.py prints the same well-formed digest on every run."""
+"""tools/answer_digest.py prints the same well-formed digest on every run, and the pinned one."""
 
+import hashlib
 import os
 import re
 import subprocess
@@ -27,3 +28,19 @@ def test_digest_is_reproducible_and_well_formed():
     assert len(lines) == 60
     assert all(LINE.fullmatch(line) for line in lines), lines
     assert {line.split()[0] for line in lines} >= {"yes", "no"}
+
+
+# sha256 of `tools/answer_digest.py --cases 5000 --seed 1`; the answers do not
+# depend on PYTHONHASHSEED.  A change that alters answers on purpose updates
+# this pin and says why.
+DIGEST_5000_SEED_1 = "1fc3ba433dfc88d1eaa6e3aff7cbf4a01e8222823f536e351498331b004f0814"
+
+
+def test_answers_match_the_pinned_digest():
+    got = hashlib.sha256(digest(5000, 1).encode()).hexdigest()
+    assert got == DIGEST_5000_SEED_1, (
+        "answers or witnesses changed; compare line by line with a checkout of the parent:\n"
+        "  PYTHONPATH=src python3 tools/answer_digest.py --cases 5000 --seed 1 > new.txt\n"
+        "  (cd PARENT && PYTHONPATH=src python3 tools/answer_digest.py --cases 5000 --seed 1 > old.txt)\n"
+        "  diff PARENT/old.txt new.txt"
+    )

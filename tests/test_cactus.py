@@ -4,6 +4,7 @@ from itertools import combinations
 import pytest
 
 from exactcolor import (
+    IncompleteLabelingError,
     NotACactusError,
     brute_chi,
     build_graph,
@@ -111,7 +112,7 @@ class TestLabel:
             frozenset(range(3)): "P", **{petal(3, i): "M" for i in range(3)}
         }
         # the one labeling is complete; the odd P core shows in the extraction
-        col = cactus_extract_coloring(g, aux, res)
+        col = cactus_extract_coloring(aux, res)
         assert col.k == 3
         assert is_exact_coloring(g, col, 2)
 
@@ -187,22 +188,29 @@ class TestExtract:
     def test_single_triangle_all_zero(self):
         aux = cactus_preprocess(triangle())
         res = cactus_label(aux)
-        col = cactus_extract_coloring(triangle(), aux, res)
+        col = cactus_extract_coloring(aux, res)
         assert col == (1, (0, 0, 0))
 
     def test_two_triangles_bridge(self, two_triangles_bridge):
         g = two_triangles_bridge
         aux = cactus_preprocess(g)
         res = cactus_label(aux)
-        col = cactus_extract_coloring(g, aux, res)
+        col = cactus_extract_coloring(aux, res)
         assert col.k == 2 and is_exact_coloring(g, col, 2)
         assert len(set(col.assign[:3])) == 1 and len(set(col.assign[3:])) == 1
         assert col.assign[0] != col.assign[3]
 
+    def test_rejected_labeling_raises(self, bowtie):
+        aux = cactus_preprocess(bowtie)
+        res = cactus_label(aux)
+        assert not res.ok
+        with pytest.raises(IncompleteLabelingError):
+            cactus_extract_coloring(aux, res)
+
     def test_mixed_labels_extractions_validate(self, sunlet_cactus):
         aux = cactus_preprocess(sunlet_cactus)
         res = cactus_label(aux)
-        col = cactus_extract_coloring(sunlet_cactus, aux, res)
+        col = cactus_extract_coloring(aux, res)
         assert col.k == 2 and is_exact_coloring(sunlet_cactus, col, 2)
 
 

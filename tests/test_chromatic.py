@@ -1,4 +1,5 @@
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,7 @@ from exactcolor import (
     random_graph,
     wheel,
 )
+from exactcolor import chromatic
 from exactcolor.chromatic import _Budget, _exact_k_coloring
 from conftest import chi_exhaustive
 
@@ -87,6 +89,15 @@ class TestChordalFastPath:
         assert chi == chi_exhaustive(g) == 3
         assert is_proper(g, col)
 
+    @pytest.mark.parametrize("g,calls", [(fan(5), 0), (cycle(5), 1)])
+    def test_clique_bound_only_where_a_range_is_searched(self, monkeypatch, g, calls):
+        # the fan is chordal but not a block graph: first fit answers before any bound
+        seen = []
+        original = chromatic.max_clique
+        monkeypatch.setattr(chromatic, "max_clique", lambda *a: seen.append(a) or original(*a))
+        chromatic_number(g)
+        assert len(seen) == calls
+
     def test_elimination_order_where_degree_order_is_not_optimal(self):
         # chordal, not a block graph; first-fit in degree order takes 4 colors
         g = build_graph(7, [(0, 1), (1, 2), (1, 3), (2, 3), (2, 5), (2, 6), (3, 6), (4, 5), (5, 6)])
@@ -127,6 +138,20 @@ def test_only_the_search_calls_the_exact_coloring():
 
 
 class TestMaxClique:
+    def test_deep_clique_does_not_recurse(self):
+        # K_400 with a C4 through vertex 0: neither chordal nor a block graph, and
+        # the branch and bound goes 400 levels deep
+        n = 400
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        g = build_graph(n + 3, edges + [(0, n), (n, n + 1), (n + 1, n + 2), (n + 2, 0)])
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(150)
+        try:
+            assert max_clique(g) == list(range(n))
+            assert chromatic_number(g)[0] == n
+        finally:
+            sys.setrecursionlimit(limit)
+
     def test_petersen_triangle_free(self):
         assert clique_number(petersen()) == 2
 

@@ -228,6 +228,15 @@ class TestGenerate:
         g = read_graph(out)
         assert g.n == 8 and all(g.degree(v) == 4 for v in range(8))
 
+    @pytest.mark.parametrize("name", xc.family_names())
+    @pytest.mark.parametrize("fmt", ["edgelist", "dimacs"])
+    def test_every_family_prints_what_gen_family_builds(self, capsys, name, fmt):
+        values = {"n": 9, "m": 4, "p": 0.3, "seed": 5, "style": "petaled"}
+        flags = [f for key, value in values.items() for f in (f"--{key}", str(value))]
+        code, out, err = run(capsys, "generate", name.replace("_", "-"), *flags, "--format", fmt)
+        params = {key: values[key] for key in xc.families.family_params(name)}
+        assert (code, out, err) == (0, write_graph(xc.gen_family(name, **params), fmt), "")
+
     @pytest.mark.parametrize("family,flag", [
         ("random-graph", "n"), ("random-cactus", "n"), ("random-block-graph", "n"),
         ("cycle", "n"), ("cartesian-k2-complete", "m"),

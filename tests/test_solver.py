@@ -398,3 +398,22 @@ def test_d0_block_graph_is_colored_off_its_block_cut_tree(monkeypatch):
     rep = xc.solve(g, 0)
     assert (rep.algorithm, rep.chi) == ("chromatic", max(map(len, g.bct.blocks)))
     assert calls == []
+
+
+@pytest.mark.parametrize("d,route", enumerate(["chromatic", "cactus", "cactus", "blockgraph", "blockgraph"]))
+@pytest.mark.parametrize("k", [None, 0, 2])
+def test_empty_graph_answers_through_the_first_route_whose_domain_holds(d, route, k):
+    # the empty graph is a cactus and a block graph: no row of its own is needed
+    rep = xc.solve(xc.build_graph(0, []), d, k)
+    assert (rep.verdict, rep.chi, rep.algorithm) == ("yes", 0, route)
+    assert rep.witness == xc.Coloring(0, ())
+
+
+@pytest.mark.parametrize("g,d,algorithm", [
+    (xc.cycle(6), 0, "cactus"), (xc.cycle(6), 3, "cactus"), (xc.path(4), 0, "cactus"),
+    (xc.path(4), 3, "cactus"), (xc.path(4), 0, "blockgraph"), (xc.build_graph(0, []), 0, "blockgraph"),
+])
+def test_forced_polynomial_route_outside_its_defects_applies_nowhere(g, d, algorithm):
+    # cacti are solved at d in {1, 2} and block graphs at d >= 1, and nowhere else
+    with pytest.raises(xc.ExactColoringError, match=f"^no {algorithm} route applies to this graph at d = {d}$"):
+        xc.solve(g, d, algorithm=algorithm)
