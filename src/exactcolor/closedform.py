@@ -1,10 +1,13 @@
-"""Constant-time solvers for the structured families with known exact values.
+"""The paper's exact values for structured families, with witness colorings.
 
 Each finite answer comes with a witness coloring built the way the
 corresponding existence argument builds it, so every closed form can be
 re-checked by the exactness validator.  Values outside the proven parameter
 ranges are not extrapolated: wheels only support d = 1 here and other
-defects are left to the brute-force oracle.
+defects are left to the brute-force oracle.  The solver routes d-regular
+graphs and wheels here; cycles and trees answer through the cactus route
+and complete graphs through the block-graph route, and the tests check
+those routes against chi_cycle, chi_tree and chi_complete.
 """
 
 from __future__ import annotations

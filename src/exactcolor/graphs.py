@@ -246,7 +246,7 @@ def block_cut_tree(g: Graph) -> BlockCutTree:
         stack = [(root, iter(adj[root]))]
         while stack:
             v, it = stack[-1]
-            dv, lv = disc[v], low[v]
+            lv = low[v]
             for w in it:
                 dw = disc[w]
                 if dw == -1:
@@ -453,10 +453,6 @@ class GraphClasses:
     def __init__(self, g: Graph):
         self.g = g
 
-    @cached_property
-    def is_tree(self) -> bool:
-        return is_tree(self.g)
-
     @property
     def is_cactus(self) -> bool:
         return self.g.bct.is_cactus
@@ -470,21 +466,6 @@ class GraphClasses:
         """d if the graph is d-regular (and nonempty), else None."""
         degs = set(map(len, self.g.adj))
         return degs.pop() if len(degs) == 1 else None
-
-    @cached_property
-    def is_complete(self) -> bool:
-        return self.g.n >= 1 and self.g.m == self.g.n * (self.g.n - 1) // 2
-
-    @cached_property
-    def cycle_order(self) -> list[int] | None:
-        """The vertices in cyclic order when the graph is one cycle, else None.
-
-        The cycle is the graph's one block, whose ring runs from vertex 0
-        toward its smaller neighbor.
-        """
-        if self.g.n < 3 or self.regular_degree != 2 or len(self.g.bct.component_orders) != 1:
-            return None
-        return list(self.g.bct.blocks[0])
 
     @cached_property
     def wheel_order(self) -> list[int] | None:
@@ -508,7 +489,7 @@ class GraphClasses:
 
 
 def recognize(g: Graph) -> GraphClasses:
-    """Classify g (tree / cactus / block graph / chordal / regular / family) lazily."""
+    """Classify g (cactus / block graph / regular / wheel) lazily."""
     return GraphClasses(g)
 
 

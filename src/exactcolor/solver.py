@@ -16,7 +16,7 @@ from typing import Callable, NamedTuple
 from .blockgraph import blockgraph_chi
 from .cactus import cactus_chi1, cactus_chi2
 from .chromatic import DEFAULT_BUDGET, _Budget, chromatic_number
-from .closedform import chi_complete, chi_cycle, chi_regular_trivial, chi_tree, chi_wheel
+from .closedform import chi_regular_trivial, chi_wheel
 from .coloring import (
     INFEASIBLE,
     Coloring,
@@ -76,33 +76,29 @@ def _relabel(outcome: SolveOutcome, order: list[int]) -> SolveOutcome:
 
 
 # A route's test is the whole statement of its domain: the cactus rows cover
-# d = 2 and d = 1, the block-graph row d >= 1.  The runs look solvers up by
-# name when called, so wrapping a solver in its module namespace (as a tracer
-# does) also wraps it here.  Auto always computes chi, even for a decision
-# query; only a forced brute search decides "chi_d <= k" directly, and then
-# reports no chi.  The precheck applies with the failed condition, which
-# becomes the report's reason.  Every solver reads the block-cut tree off its
-# graph (Graph.bct), which builds it once.
+# d = 2 and d = 1, the block-graph row d >= 1.  There is one route per
+# structure class: cycles and trees answer as cacti, complete graphs as block
+# graphs, so the wheel row comes after them (K4 is also the wheel W4).  The
+# runs look solvers up by name when called, so wrapping a solver in its module
+# namespace (as a tracer does) also wraps it here.  Auto always computes chi,
+# even for a decision query; only a forced brute search decides "chi_d <= k"
+# directly, and then reports no chi.  The precheck applies with the failed
+# condition, which becomes the report's reason.  Every solver reads the
+# block-cut tree off its graph (Graph.bct), which builds it once.
 ROUTES = (
     Route("chromatic", None, lambda s, d: d == 0,
           lambda s, d, k, budget: SolveOutcome.finite(*chromatic_number(s.g, budget))),
     Route("precheck", None, lambda s, d: infeasibility_reason(s.g, d), lambda *_: INFEASIBLE),
     Route("closedform:regular", "closedform", lambda s, d: s.regular_degree == d,
           lambda s, d, *_: chi_regular_trivial(s.g, d)),
-    Route("closedform:complete", "closedform", lambda s, d: s.is_complete,
-          lambda s, d, *_: chi_complete(s.g.n, d)),
-    Route("closedform:tree", "closedform", lambda s, d: s.is_tree,
-          lambda s, d, *_: chi_tree(s.g, d)),
-    Route("closedform:cycle", "closedform", lambda s, d: s.cycle_order and d in (1, 2),
-          lambda s, d, *_: _relabel(chi_cycle(s.g.n, d), s.cycle_order)),
-    Route("closedform:wheel", "closedform", lambda s, d: d == 1 and s.wheel_order,
-          lambda s, d, *_: _relabel(chi_wheel(s.g.n, d), s.wheel_order)),
     Route("cactus", "cactus", lambda s, d: d == 2 and s.is_cactus,
           lambda s, d, *_: cactus_chi2(s.g)),
     Route("cactus", "cactus", lambda s, d: d == 1 and s.is_cactus,
           lambda s, d, *_: cactus_chi1(s.g)),
     Route("blockgraph", "blockgraph", lambda s, d: d >= 1 and s.is_block_graph,
           lambda s, d, *_: blockgraph_chi(s.g, d)),
+    Route("closedform:wheel", "closedform", lambda s, d: d == 1 and s.wheel_order,
+          lambda s, d, *_: _relabel(chi_wheel(s.g.n, d), s.wheel_order)),
     Route("brute", None, lambda s, d: True, lambda s, d, k, b: brute_chi(s.g, d, budget=b)),
     Route("brute", "brute", lambda s, d: True, _brute),
 )

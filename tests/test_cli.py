@@ -50,7 +50,7 @@ class TestSolve:
         code, rep = solve_report(capsys, "--d", "1", "--chi", cycle8_file)
         assert code == 0
         assert rep["verdict"] == "yes" and rep["chi"] == 2
-        assert rep["algorithm"].startswith("closedform")
+        assert rep["algorithm"] == "cactus"
         g = load_graph(cycle8_file)
         witness = Coloring(rep["witness"]["k"], tuple(rep["witness"]["assign"]))
         assert is_exact_coloring(g, witness, 1)
@@ -457,7 +457,7 @@ class TestParserReuse:
                                  "--algorithm", "brute", "--budget", "5")
         assert (code, rep["verdict"], rep["algorithm"]) == (2, "unknown", "brute")
         code, rep = solve_report(capsys, "--d", "1", "--chi", cycle8_file)
-        assert (code, rep["chi"], rep["algorithm"]) == (0, 2, "closedform:cycle")
+        assert (code, rep["chi"], rep["algorithm"]) == (0, 2, "cactus")
         # Petersen needs 593 nodes at d = 1: the default budget answers, 5 would not
         solve_report(capsys, "--d", "1", "--chi", str(pet), "--algorithm", "brute", "--budget", "5")
         code, rep = solve_report(capsys, "--d", "1", "--chi", str(pet))
@@ -484,13 +484,13 @@ class TestParserReuse:
 
 
 def test_a_corrupted_witness_is_an_error_not_an_answer(capsys, monkeypatch, cycle8_file):
-    honest = xc.solver.chi_cycle
+    honest = xc.solver.cactus_chi1
 
-    def corrupted(n, d):
-        out = honest(n, d)
+    def corrupted(g):
+        out = honest(g)
         assign = (1 - out.witness.assign[0],) + out.witness.assign[1:]
         return xc.SolveOutcome.finite(out.chi, Coloring(out.witness.k, assign))
 
-    monkeypatch.setattr(xc.solver, "chi_cycle", corrupted)
+    monkeypatch.setattr(xc.solver, "cactus_chi1", corrupted)
     code, out, err = run(capsys, "solve", "--d", "1", "--chi", cycle8_file)
-    assert (code, out) == (1, "") and err.startswith("error: closedform:cycle returned a witness")
+    assert (code, out) == (1, "") and err.startswith("error: cactus returned a witness")

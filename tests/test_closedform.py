@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from exactcolor import (
@@ -18,9 +20,36 @@ from exactcolor import (
     is_exact_coloring,
     path,
     petersen,
+    solve,
     star,
     wheel,
 )
+from exactcolor.solver import _relabel
+from conftest import permuted
+
+
+def assert_solve_gives(g, d, out):
+    """solve(g, d) answers the closed form's out: the same chi and the same witness on g."""
+    rep = solve(g, d)
+    if out.is_infeasible:
+        assert (rep.verdict, rep.chi) == ("infinite", None), rep
+    else:
+        assert (rep.verdict, rep.chi, rep.witness) == ("yes", out.chi, out.witness), rep
+
+
+def relabeled_tree(seed):
+    """A random tree, renumbered; odd seeds plant a perfect matching."""
+    rng = random.Random(seed)
+    n = rng.choice([2, 7, 40, 301, 2000])
+    if seed % 2:
+        n -= n % 2
+        edges = [(2 * i, 2 * i + 1) for i in range(n // 2)]
+        edges += [(rng.randrange(2 * i), 2 * i + rng.randrange(2)) for i in range(1, n // 2)]
+    else:
+        edges = [(rng.randrange(v), v) for v in range(1, n)]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return permuted(build_graph(n, edges), perm)
 
 
 class TestChiCycle:
@@ -55,6 +84,14 @@ class TestChiCycle:
     def test_agrees_with_brute(self, n, d):
         a, b = chi_cycle(n, d), brute_chi(cycle(n), d)
         assert (a.chi, a.is_infeasible) == (b.chi, b.is_infeasible)
+
+    @pytest.mark.parametrize("n", range(3, 41))
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_agrees_with_solve_on_relabeled_cycles(self, n, d):
+        # the cactus and regular routes answer cycles; the closed form's
+        # witness colors the i-th vertex of the ring of the one block
+        g = permuted(cycle(n), random.Random(n).sample(range(n), n))
+        assert_solve_gives(g, d, _relabel(chi_cycle(n, d), list(g.bct.blocks[0])))
 
 
 class TestChiWheel:
@@ -113,8 +150,6 @@ class TestChiTree:
 
     @pytest.mark.parametrize("seed", range(12))
     def test_random_trees_agree_with_brute(self, seed):
-        import random
-
         rng = random.Random(seed)
         n = rng.randint(2, 11)
         edges = [(rng.randrange(v), v) for v in range(1, n)]
@@ -127,27 +162,22 @@ class TestChiTree:
 
     @pytest.mark.parametrize("seed", range(16))
     def test_tree_cactus_and_blockgraph_routes_agree(self, seed):
-        # a tree is both a cactus and a block graph, so the three d = 1 routes
-        # must agree; odd seeds plant a perfect matching
-        import random
-
-        rng = random.Random(seed)
-        n = rng.choice([2, 7, 40, 301, 2000])
-        if seed % 2:
-            n -= n % 2
-            edges = [(2 * i, 2 * i + 1) for i in range(n // 2)]
-            edges += [(rng.randrange(2 * i), 2 * i + rng.randrange(2)) for i in range(1, n // 2)]
-        else:
-            edges = [(rng.randrange(v), v) for v in range(1, n)]
-        perm = list(range(n))
-        rng.shuffle(perm)
-        t = build_graph(n, [(perm[u], perm[v]) for u, v in edges])
+        # a tree is both a cactus and a block graph, so chi_tree and the two
+        # d = 1 routes must agree
+        t = relabeled_tree(seed)
         outs = [chi_tree(t, 1), cactus_chi1(t), blockgraph_chi(t, 1)]
         assert len({(o.chi, o.is_infeasible) for o in outs}) == 1
         assert outs[0].is_finite or not seed % 2
         for o in outs:
             if o.is_finite:
                 assert o.witness.k == o.chi and is_exact_coloring(t, o.witness, 1)
+
+    @pytest.mark.parametrize("seed", range(16))
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_agrees_with_solve_on_relabeled_trees(self, seed, d):
+        # the cactus route (d = 1) and the precheck (d >= 2) answer trees
+        t = relabeled_tree(seed)
+        assert_solve_gives(t, d, chi_tree(t, d))
 
 
 class TestChiComplete:
@@ -165,6 +195,12 @@ class TestChiComplete:
     def test_agrees_with_brute(self, n, d):
         a, b = chi_complete(n, d), brute_chi(complete(n), d)
         assert (a.chi, a.is_infeasible) == (b.chi, b.is_infeasible)
+
+    @pytest.mark.parametrize("n", range(1, 25))
+    @pytest.mark.parametrize("d", range(1, 5))
+    def test_agrees_with_solve(self, n, d):
+        # the block-graph route (or the regular route at d = n - 1) answers K_n
+        assert_solve_gives(complete(n), d, chi_complete(n, d))
 
 
 class TestCliqueLowerBound:

@@ -154,7 +154,7 @@ def factor_route_cases():
     for d in (1, 2, 3):
         yield relabeled(planted_block_graph(12, d + 1, d)[0], rng), d, "blockgraph"
     yield relabeled(planted_matching_cactus(30, 1)[0], rng), 1, "cactus"
-    yield relabeled(paired_tree(30, rng), rng), 1, "closedform:tree"
+    yield relabeled(paired_tree(30, rng), rng), 1, "cactus"
     yield relabeled(xc.wheel(12), rng), 1, "closedform:wheel"
 
 

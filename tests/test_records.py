@@ -52,7 +52,7 @@ RECORDS = [
      xc.NaeFormula(4, ((0, 1, 2),)), "NaeFormula(num_vars=3, clauses=((0, 1, 2),))"),
     (report, report, xc.solve(xc.cycle(4), 1, k=1),
      "Report(verdict='yes', d=1, k=None, chi=2, witness=Coloring(k=2, assign=(0, 0, 1, 1)), "
-     "algorithm='closedform:cycle', elapsed_ms=1.5, reason=None, n=4, m=4)"),
+     "algorithm='cactus', elapsed_ms=1.5, reason=None, n=4, m=4)"),
 ]
 
 

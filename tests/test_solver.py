@@ -88,8 +88,8 @@ def relabeled(g, seed):
 
 @pytest.mark.parametrize("seed", range(5))
 @pytest.mark.parametrize("g,d,algorithm", [
-    (xc.cycle(8), 1, "closedform:cycle"),
-    (xc.cycle(10), 1, "closedform:cycle"),
+    (xc.cycle(8), 1, "cactus"),
+    (xc.cycle(10), 1, "cactus"),
     (xc.wheel(8), 1, "closedform:wheel"),
 ])
 def test_closed_form_witness_fits_any_vertex_numbering(g, d, algorithm, seed):
@@ -125,13 +125,13 @@ def test_budget_bounds_every_search_of_a_solve():
     [
         (xc.random_cactus(60, seed=1, style="bridged"), 2, "cactus"),
         (xc.random_block_graph(60, seed=1), 1, "blockgraph"),
-        (xc.path(10), 1, "closedform:tree"),
+        (xc.path(10), 1, "cactus"),
     ],
 )
 def test_polynomial_routes_find_the_components_once(monkeypatch, g, d, algorithm):
     calls = count_calls(monkeypatch, "connected_components")
     assert xc.solve(g, d).algorithm == algorithm
-    # the odd-d precheck and the tree test read the orders the block-cut search records
+    # the odd-d precheck reads the orders the block-cut search records
     assert calls == []
 
 
@@ -167,9 +167,9 @@ def refuse_component_search(monkeypatch):
 @pytest.mark.parametrize("g,d,algorithm", [
     (xc.random_cactus(60, seed=1, style="bridged"), 2, "cactus"),
     (xc.random_block_graph(60, seed=1), 1, "blockgraph"),
-    (xc.path(10), 1, "closedform:tree"),
+    (xc.path(10), 1, "cactus"),
     (clique_tree(), 3, "blockgraph"),
-    (xc.cycle(12), 1, "closedform:cycle"),
+    (xc.cycle(12), 1, "cactus"),
     (xc.wheel(8), 1, "closedform:wheel"),
 ])
 def test_polynomial_and_closed_form_routes_need_no_component_search(monkeypatch, g, d, algorithm):
@@ -201,8 +201,8 @@ def test_searches_called_directly_need_no_component_search(monkeypatch):
 
 @pytest.mark.parametrize("g,d,algorithm", [
     (xc.petersen(), 1, "auto"),
-    (xc.cycle(10), 1, "closedform"),
-    (xc.path(8), 1, "closedform"),
+    (xc.cycle(10), 1, "cactus"),
+    (xc.path(8), 1, "cactus"),
     (xc.random_cactus(40, seed=2, style="bridged"), 2, "cactus"),
     (xc.build_graph(8, [(a, b) for a in range(4) for b in range(a + 1, 5)] + [(4, 5), (5, 6), (6, 7), (5, 7)]),
      1, "blockgraph"),
@@ -327,7 +327,7 @@ def k4_with_pendants():
     ("cactus_chi2", sunlet(), 2, "cactus"),
     ("cactus_chi1", xc.tightness_gadget(), 1, "cactus"),
     ("blockgraph_chi", k4_with_pendants(), 1, "blockgraph"),
-    ("chi_tree", xc.path(6), 1, "closedform:tree"),
+    ("cactus_chi1", xc.path(6), 1, "cactus"),
     ("brute_chi", xc.petersen(), 1, "brute"),
 ])
 def test_a_witness_with_one_vertex_recolored_is_refused(monkeypatch, solver, g, d, algorithm):
