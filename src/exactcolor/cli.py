@@ -4,15 +4,22 @@ Machine-readable output: ``solve`` prints one JSON report (schema in
 docs/report-schema.json).  Exit codes: 0 = answered, 1 = usage or parse
 error, 2 = unknown (budget exhausted), 3 = verify found the coloring
 invalid.
+
+The command line is read against one command table (``build_parser``,
+built once at import) by ``parse_args``, without argparse, whose import
+and parser build took about a third of a fresh process's startup.  A
+usage error prints ``exactcolor <cmd>: error: ...`` and exits 1, so a
+script can tell it from a search that ran out of budget (2).
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import gc
 import json
+import re
 import sys
+from types import SimpleNamespace
+from typing import NamedTuple
 
 from . import families
 from .chromatic import DEFAULT_BUDGET
@@ -124,7 +131,7 @@ def cmd_reduce(args) -> int:
             target, rmap = reduce_planar_variant(g, args.d)
             check_k, check_d = 3, args.d
             source_yes = args.check and _decide(g, 0, 3).verdict == "yes"
-        else:  # increment; argparse admits no other construction
+        else:  # increment; the table admits no other construction
             target, rmap = reduce_increment_defect(g, args.d)
             check_k, check_d = 2, args.d + 2
             source_yes = args.check and _decide(g, args.d, 2, "brute").verdict == "yes"
@@ -137,79 +144,177 @@ def cmd_reduce(args) -> int:
     return EXIT_ANSWERED
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="exactcolor",
-        description="Exact defective graph coloring: solvers, generators, hardness gadgets.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+class Opt(NamedTuple):
+    """A positional (bare name) or an option (--name): value type (bool: a flag), default,
+    choices, help.  A required option must be given, and exactly one of a command's one_of."""
 
-    ps = sub.add_parser("solve", help="compute chi_d or decide chi_d <= k")
-    ps.add_argument("input", help="graph file")
-    ps.add_argument("--d", type=int, required=True, help="exact defect per vertex")
-    group = ps.add_mutually_exclusive_group(required=True)
-    group.add_argument("--k", type=int, help="decision: is chi_d <= k?")
-    group.add_argument("--chi", action="store_true", help="optimization: compute chi_d")
-    ps.add_argument("--algorithm", choices=ALGORITHMS, default="auto", help="see solver.ROUTES")
-    ps.add_argument("--format", choices=["edgelist", "dimacs"], default=None)
-    ps.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="search node budget")
-    ps.set_defaults(func=cmd_solve)
-
-    pv = sub.add_parser("verify", help="validate a coloring file against a graph")
-    pv.add_argument("graph")
-    pv.add_argument("coloring")
-    pv.add_argument("--d", type=int, required=True)
-    pv.add_argument("--format", choices=["edgelist", "dimacs"], default=None)
-    pv.set_defaults(func=cmd_verify)
-
-    pg = sub.add_parser("generate", help="write a family graph as EDGELIST/DIMACS")
-    pg.add_argument(
-        "family", help="|".join(name.replace("_", "-") for name in families.family_names())
-    )
-    pg.add_argument("--n", type=int, default=None)
-    pg.add_argument("--m", type=int, default=None)
-    pg.add_argument("--p", type=float, default=0.5, help="edge probability (random-graph)")
-    pg.add_argument("--seed", type=int, default=0)
-    pg.add_argument("--style", choices=["mixed", "bridged", "shared", "petaled"], default="mixed")
-    pg.add_argument("--format", choices=["edgelist", "dimacs"], default="edgelist")
-    pg.add_argument("-o", "--output", default=None)
-    pg.set_defaults(func=cmd_generate)
-
-    pr = sub.add_parser("reduce", help="emit a hardness construction + provenance map")
-    pr.add_argument("construction", choices=["coloring", "planar", "increment", "nae3sat"])
-    pr.add_argument("input", help="graph file, or formula file for nae3sat")
-    pr.add_argument("--k", type=int, default=3, help="colors (coloring construction)")
-    pr.add_argument("--d", type=int, default=1, help="defect parameter")
-    pr.add_argument("--gadget", choices=["c4", "c3"], default="c4")
-    pr.add_argument("--strict", action="store_true", help="reject repeated clause variables")
-    pr.add_argument("--format", choices=["edgelist", "dimacs"], default=None)
-    pr.add_argument("-o", "--output", default=None)
-    pr.add_argument("--map", default=None, help="write the JSON provenance map here")
-    pr.add_argument("--check", action="store_true", help="brute-force round-trip check")
-    pr.set_defaults(func=cmd_reduce)
-
-    return parser
+    type: type = str
+    default: object = None
+    choices: tuple = ()
+    required: bool = False
+    one_of: bool = False
+    help: str = ""
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser main uses, built on first use and kept for the process.
+class Command:
+    """A command's help and {positional or --option: Opt}, and what every parse reads off them."""
 
-    parse_args only reads it: each call fills a new Namespace, and a usage
-    error leaves through SystemExit without changing it.
+    def __init__(self, help: str, spec: dict):
+        self.help, self.spec = help, spec
+        self.defaults = {o.lstrip("-"): opt.default for o, opt in spec.items()}
+        self.positionals = [p for p in spec if p[0] != "-"]
+        self.required = [o for o, opt in spec.items() if opt.required]
+        self.one_of = [o for o, opt in spec.items() if opt.one_of]
+
+
+_FORMATS = ("edgelist", "dimacs")
+_SHORT = {"-o": "--output", "-h": "--help"}
+_is_option = re.compile(r"-(?!\d+$|\d*\.\d+$).").match  # "-x", "--x", "--"; not "-", "-1", "-.5"
+_ABOUT = ("exactcolor: exact defective graph coloring: solvers, generators, hardness gadgets.\n"
+          "exit codes: 0 answered, 1 usage or parse error, 2 unknown (budget), 3 invalid coloring")
+
+
+def build_parser() -> dict:
+    """The command table main parses with: name -> Command.
+
+    Each value lands in args.<name without dashes>.  The table names no handler: main
+    looks up cmd_<name> when it runs, so a rebound module attribute sees every call.
     """
-    return build_parser()
+    fmt, out = Opt(choices=_FORMATS, help="(default: sniffed)"), Opt(help="output file (also -o)")
+    return {
+        "solve": Command("compute chi_d or decide chi_d <= k", {
+            "input": Opt(help="graph file"),
+            "--d": Opt(int, required=True, help="exact defect per vertex"),
+            "--k": Opt(int, one_of=True, help="decision: is chi_d <= k? (this or --chi)"),
+            "--chi": Opt(bool, False, one_of=True, help="optimization: compute chi_d (or --k)"),
+            "--algorithm": Opt(str, "auto", ALGORITHMS, help="see solver.ROUTES"),
+            "--format": fmt,
+            "--budget": Opt(int, DEFAULT_BUDGET, help="search node budget")}),
+        "verify": Command("validate a coloring file against a graph", {
+            "graph": Opt(help="graph file"), "coloring": Opt(help="k, then one color per line"),
+            "--d": Opt(int, required=True, help="exact defect per vertex"), "--format": fmt}),
+        "generate": Command("write a family graph as EDGELIST/DIMACS", {
+            "family": Opt(help="|".join(f.replace("_", "-") for f in families.family_names())),
+            "--n": Opt(int), "--m": Opt(int), "--seed": Opt(int, 0),
+            "--p": Opt(float, 0.5, help="edge probability (random-graph)"),
+            "--style": Opt(str, "mixed", ("mixed", "bridged", "shared", "petaled")),
+            "--format": Opt(str, "edgelist", _FORMATS), "--output": out}),
+        "reduce": Command("emit a hardness construction + provenance map", {
+            "construction": Opt(choices=("coloring", "planar", "increment", "nae3sat")),
+            "input": Opt(help="graph file, or formula file for nae3sat"),
+            "--k": Opt(int, 3, help="colors (coloring construction)"),
+            "--d": Opt(int, 1, help="defect parameter"),
+            "--gadget": Opt(str, "c4", ("c4", "c3")),
+            "--strict": Opt(bool, False, help="reject repeated clause variables"),
+            "--format": fmt, "--output": out,
+            "--map": Opt(help="write the JSON provenance map here"),
+            "--check": Opt(bool, False, help="brute-force round-trip check")}),
+    }
+
+
+COMMANDS = build_parser()
+
+
+def _help(name: str) -> str:
+    command = COMMANDS[name]
+    rows = [f"usage: exactcolor {name} {' '.join(command.positionals)} [options] [-h]",
+            f"  {command.help}"]
+    for o, opt in command.spec.items():
+        arg = "{%s}" % ",".join(opt.choices) if opt.choices else (
+            o[2:].upper() if o[0] == "-" and opt.type is not bool else "")
+        default = "" if opt.default is None or opt.type is bool else f"(default: {opt.default})"
+        notes = " ".join(filter(None, [opt.help, "(required)" if opt.required else "", default]))
+        rows.append(f"    {o + ' ' + arg:<28} {notes}".rstrip())
+    return "\n".join(rows)
+
+
+def _value(name: str, opt: Opt, text: str):
+    try:
+        value = opt.type(text)
+    except ValueError:
+        raise ValueError(f"argument {name}: invalid {opt.type.__name__} value: {text!r}") from None
+    if opt.choices and value not in opt.choices:
+        raise ValueError(f"argument {name}: invalid choice: {text!r} "
+                         f"(choose from {', '.join(opt.choices)})")
+    return value
+
+
+def parse_args(argv):
+    """A namespace of argv read against COMMANDS, or the exit code after printing help or an error.
+
+    The command comes first, then its positionals and options in any order.  An
+    option is --name value, --name=value, or a unique prefix of --name (tried
+    after the exact name); a value may be a negative number, and the last of a
+    repeated option wins.  A rejected line prints "exactcolor <cmd>: error: ...".
+    """
+    name = argv[0] if argv else None
+    if name not in COMMANDS:
+        if name in ("-h", "--help"):
+            print("\n\n".join([_ABOUT, *map(_help, COMMANDS)]))
+            return EXIT_ANSWERED
+        print(f"exactcolor: error: {f'invalid command {name!r}' if argv else 'no command'} "
+              f"(choose from {', '.join(COMMANDS)})", file=sys.stderr)
+        return EXIT_USAGE
+    command = COMMANDS[name]
+    spec, wanted, values = command.spec, command.positionals, dict(command.defaults)
+    given, seen, tokens = [], [], iter(argv[1:])
+    try:
+        for token in tokens:
+            if token == "--":
+                given += tokens
+            elif not _is_option(token):
+                given.append(token)
+            else:
+                token, explicit, text = token.partition("=")
+                o = _SHORT.get(token, token)
+                if o not in spec and o != "--help":
+                    found = [c for c in (*spec, "--help") if c[:2] == token[:2] == "--"
+                             and c.startswith(token)]
+                    if len(found) != 1:
+                        raise ValueError(f"ambiguous option: {token} could match {', '.join(found)}"
+                                         if found else f"unrecognized arguments: {token}")
+                    o = found[0]
+                if o == "--help":
+                    print(_help(name))
+                    return EXIT_ANSWERED
+                opt = spec[o]
+                if explicit and opt.type is bool:
+                    raise ValueError(f"argument {o}: ignored explicit argument {text!r}")
+                if not explicit and opt.type is not bool:
+                    text = next(tokens, None)
+                    if text is None or _is_option(text):
+                        raise ValueError(f"argument {o}: expected one argument")
+                values[o[2:]] = True if opt.type is bool else _value(o, opt, text)
+                seen.append(o)
+        missing = wanted[len(given):] + [o for o in command.required if o not in seen]
+        if missing:
+            raise ValueError(f"the following arguments are required: {', '.join(missing)}")
+        if given[len(wanted):]:
+            raise ValueError(f"unrecognized arguments: {' '.join(given[len(wanted):])}")
+        picked = [o for o in command.one_of if o in seen]
+        if command.one_of and not picked:
+            raise ValueError(f"one of the arguments {' '.join(command.one_of)} is required")
+        if picked[1:]:
+            raise ValueError(f"argument {picked[1]}: not allowed with argument {picked[0]}")
+        for p, text in zip(wanted, given):
+            values[p] = _value(p, spec[p], text)
+    except ValueError as exc:
+        print(f"exactcolor {name}: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    return SimpleNamespace(command=name, **values)
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
+    if isinstance(args, int):  # the help, or a usage error, was printed
+        return args
     # A command allocates millions of acyclic tuples and lists and leaves no
     # cyclic garbage that grows with the graph, so the cyclic collector would
     # only rescan them; it is paused for the command and then restored.
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except (OSError, ExactColoringError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -93,7 +93,14 @@ def defects(g: Graph, c: Coloring) -> list[int]:
             f"coloring covers {len(c.assign)} vertices, graph has {g.n}"
         )
     a = c.assign
-    return [sum(1 for u in g.adj[v] if a[u] == a[v]) for v in range(g.n)]
+    out = []
+    for nbrs, cv in zip(g.adj, a):
+        same = 0
+        for u in nbrs:
+            if a[u] == cv:
+                same += 1
+        out.append(same)
+    return out
 
 
 def is_exact_coloring(g: Graph, c: Coloring, d: int) -> bool:

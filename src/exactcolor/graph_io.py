@@ -190,8 +190,27 @@ def load_graph(path: str, fmt: str | None = None) -> Graph:
 # ---------------------------------------------------------------------------
 
 def read_coloring(data, n: int | None = None) -> Coloring:
-    """Parse a coloring; when n is given the entry count must match it."""
+    """Parse a coloring; when n is given the entry count must match it.
+
+    A plain file, each line (LF only, the last one may lack it) a bare
+    non-negative integer, is read as one JSON array, as _parse_edgelist does;
+    any other file, or one whose count or colors do not fit, goes line by
+    line, so every error keeps its message and line.
+    """
     text = _to_text(data)
+    body = text.removesuffix("\n")
+    if body.translate(_DROP_DIGITS) == "\n" * body.count("\n"):
+        try:
+            k, *values = json.loads("[" + body.replace("\n", ",") + "]")
+        except ValueError:
+            pass
+        else:
+            if (n is None or len(values) == n) and (not values or max(values) < k):
+                return Coloring(k, tuple(values))
+    return _read_coloring_lines(text, n)
+
+
+def _read_coloring_lines(text: str, n: int | None) -> Coloring:
     values = []
     k = None
     for lineno, line in _lines(text):

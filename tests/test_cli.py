@@ -1,5 +1,8 @@
 import gc
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -423,35 +426,18 @@ class TestCollector:
 
 
 class TestParserReuse:
-    """main parses with one parser per process; build_parser stays a factory."""
-
-    def test_three_calls_build_one_parser(self, capsys, monkeypatch, cycle8_file):
-        built, build = [], cli.build_parser
-
-        def counting():
-            built.append(build())
-            return built[-1]
-
-        monkeypatch.setattr(cli, "build_parser", counting)
-        cli._parser.cache_clear()
-        try:
-            for _ in range(3):
-                assert run(capsys, "solve", "--d", "1", "--chi", cycle8_file)[0] == 0
-            assert len(built) == 1 and cli._parser() is built[0]
-        finally:
-            cli._parser.cache_clear()
-
-    def test_build_parser_returns_a_new_parser_each_call(self):
-        assert cli.build_parser() is not cli.build_parser()
+    """main parses against one command table; a call leaves nothing behind for the next."""
 
     def test_options_of_one_call_do_not_reach_the_next(self, capsys, tmp_path, cycle8_file):
         pet = tmp_path / "pet.txt"
         main(["generate", "petersen", "-o", str(pet)])
-        args = cli._parser().parse_args(["solve", "--d", "1", "--chi", str(pet),
-                                         "--algorithm", "brute", "--budget", "5"])
+        defaults = dict(cli.COMMANDS["solve"].defaults)
+        args = cli.parse_args(["solve", "--d", "1", "--chi", str(pet),
+                               "--algorithm", "brute", "--budget", "5"])
         assert (args.algorithm, args.budget) == ("brute", 5)
-        args = cli._parser().parse_args(["solve", "--d", "1", "--chi", str(pet)])
+        args = cli.parse_args(["solve", "--d", "1", "--chi", str(pet)])
         assert (args.algorithm, args.budget, args.k) == ("auto", DEFAULT_BUDGET, None)
+        assert cli.COMMANDS["solve"].defaults == defaults
 
         code, rep = solve_report(capsys, "--d", "1", "--chi", cycle8_file,
                                  "--algorithm", "brute", "--budget", "5")
@@ -464,10 +450,9 @@ class TestParserReuse:
         assert (code, rep["verdict"], rep["chi"]) == (0, "yes", 5)
 
     def test_a_usage_error_leaves_the_parser_working(self, capsys, cycle8_file):
-        with pytest.raises(SystemExit) as info:
-            main(["solve", "--d", "1", cycle8_file])  # neither --k nor --chi
-        assert info.value.code == 2
-        assert "one of the arguments --k --chi is required" in capsys.readouterr().err
+        code, out, err = run(capsys, "solve", "--d", "1", cycle8_file)  # neither --k nor --chi
+        assert (code, out) == (1, "")
+        assert err == "exactcolor solve: error: one of the arguments --k --chi is required\n"
         code, rep = solve_report(capsys, "--d", "1", "--chi", cycle8_file)
         assert (code, rep["verdict"], rep["chi"]) == (0, "yes", 2)
         code, rep = solve_report(capsys, "--d", "1", "--k", "1", cycle8_file)
@@ -475,12 +460,123 @@ class TestParserReuse:
 
     def test_k_and_chi_stay_mutually_exclusive(self, capsys, cycle8_file):
         for _ in range(2):
-            with pytest.raises(SystemExit) as info:
-                main(["solve", "--d", "1", "--k", "2", "--chi", cycle8_file])
-            assert info.value.code == 2
-            assert "not allowed with argument" in capsys.readouterr().err
+            code, out, err = run(capsys, "solve", "--d", "1", "--k", "2", "--chi", cycle8_file)
+            assert (code, out) == (1, "")
+            assert err == "exactcolor solve: error: argument --chi: not allowed with argument --k\n"
             code, rep = solve_report(capsys, "--d", "1", "--k", "2", cycle8_file)
             assert (code, rep["verdict"]) == (0, "yes")
+
+
+class TestCommandTable:
+    """Every form argparse read, read the same way from the table, and every line it rejected."""
+
+    @pytest.mark.parametrize("argv,expect", [
+        (["solve", "g.txt", "--d", "1", "--chi"],
+         {"input": "g.txt", "d": 1, "k": None, "chi": True, "algorithm": "auto", "format": None,
+          "budget": DEFAULT_BUDGET}),
+        (["solve", "--d=2", "--k=3", "g.txt"], {"input": "g.txt", "d": 2, "k": 3, "chi": False}),
+        (["solve", "--d", "-1", "--chi", "g.txt"], {"d": -1}),
+        (["solve", "g.txt", "--d", "1", "--k", "-2", "--budget", "-5"], {"k": -2, "budget": -5}),
+        (["solve", "g.txt", "--d", "1", "--chi", "--alg", "brute", "--bud=7", "--form", "dimacs"],
+         {"algorithm": "brute", "budget": 7, "format": "dimacs"}),
+        (["solve", "g.txt", "--d", "1", "--d", "3", "--k", "2", "--k", "4",
+          "--algorithm", "cactus", "--algorithm", "brute"], {"d": 3, "k": 4, "algorithm": "brute"}),
+        (["solve", "--d", "0", "--chi", "--", "-g.txt"], {"input": "-g.txt"}),
+        (["solve", "-", "--d", "0", "--chi"], {"input": "-"}),
+        (["verify", "g.txt", "c.col", "--d", "2"],
+         {"graph": "g.txt", "coloring": "c.col", "d": 2, "format": None}),
+        (["verify", "--format", "dimacs", "--d", "0", "g.col", "c.col"],
+         {"graph": "g.col", "coloring": "c.col", "d": 0, "format": "dimacs"}),
+        (["generate", "cycle", "--n", "8", "-o", "c8.txt"],
+         {"family": "cycle", "n": 8, "m": None, "p": 0.5, "seed": 0, "style": "mixed",
+          "format": "edgelist", "output": "c8.txt"}),
+        (["generate", "random-graph", "--n=5", "--p", "-0.1", "--seed", "-3", "--output=x.txt"],
+         {"n": 5, "p": -0.1, "seed": -3, "output": "x.txt"}),
+        (["generate", "random-cactus", "--sty", "petaled", "--p", "-.25", "-o=y", "--n", "+3"],
+         {"style": "petaled", "p": -0.25, "output": "y", "n": 3}),
+        (["reduce", "nae3sat", "f.nae", "--strict", "--check", "--gadget", "c3", "--map", "m.json"],
+         {"construction": "nae3sat", "input": "f.nae", "strict": True, "check": True,
+          "gadget": "c3", "map": "m.json", "k": 3, "d": 1, "output": None, "format": None}),
+        (["reduce", "--check", "--k", "4", "coloring", "g.txt", "--d", "2", "-o", "out.txt"],
+         {"construction": "coloring", "input": "g.txt", "check": True, "strict": False, "k": 4,
+          "d": 2, "output": "out.txt"}),
+    ])
+    def test_argv_parses_to(self, argv, expect):
+        args = vars(cli.parse_args(argv))
+        names = {name.lstrip("-") for name in cli.COMMANDS[argv[0]].spec}
+        assert set(args) == {"command"} | names
+        assert args["command"] == argv[0]
+        assert {key: args[key] for key in expect} == expect
+
+    @pytest.mark.parametrize("argv,error", [
+        ([], "exactcolor: error: no command (choose from solve, verify, generate, reduce)"),
+        (["frobnicate"], "exactcolor: error: invalid command 'frobnicate'"),
+        (["--d", "1", "solve"], "exactcolor: error: invalid command '--d'"),
+        (["solve", "g.txt", "--chi"], "the following arguments are required: --d"),
+        (["solve", "--d", "1", "--chi"], "the following arguments are required: input"),
+        (["verify", "--d", "1"], "the following arguments are required: graph, coloring"),
+        (["solve", "g.txt", "--chi", "--d"], "argument --d: expected one argument"),
+        (["solve", "g.txt", "--d", "--chi"], "argument --d: expected one argument"),
+        (["generate", "cycle", "--n", "--m", "3"], "argument --n: expected one argument"),
+        (["solve", "g.txt", "--d", "x", "--chi"], "argument --d: invalid int value: 'x'"),
+        (["solve", "g.txt", "--d", "1.5", "--chi"], "argument --d: invalid int value: '1.5'"),
+        (["solve", "g.txt", "--d=", "--chi"], "argument --d: invalid int value: ''"),
+        (["generate", "random-graph", "--p", "half"], "argument --p: invalid float value: 'half'"),
+        (["solve", "g.txt", "--d", "1"], "one of the arguments --k --chi is required"),
+        (["solve", "g.txt", "--d", "1", "--chi", "--k", "2"],
+         "argument --chi: not allowed with argument --k"),
+        (["solve", "g.txt", "--d", "1", "--chi", "--algorithm", "magic"],
+         "argument --algorithm: invalid choice: 'magic' (choose from auto, closedform, cactus, "
+         "blockgraph, brute)"),
+        (["reduce", "sat", "f.txt"], "argument construction: invalid choice: 'sat'"),
+        (["generate", "star", "--style", "fancy"], "argument --style: invalid choice: 'fancy'"),
+        (["solve", "a.txt", "b.txt", "--d", "1", "--chi"], "unrecognized arguments: b.txt"),
+        (["solve", "g.txt", "--d", "1", "--chi", "--verbose"], "unrecognized arguments: --verbose"),
+        (["solve", "g.txt", "--d", "1", "--chi", "-o", "x"], "unrecognized arguments: -o"),
+        (["generate", "cycle", "--s", "1"], "ambiguous option: --s could match --seed, --style"),
+        (["solve", "g.txt", "--d", "1", "--chi=yes"],
+         "argument --chi: ignored explicit argument 'yes'"),
+    ])
+    def test_malformed_argv_exits_1_with_one_error_line(self, capsys, argv, error):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1 and error in err and "Traceback" not in err
+        prog = f"exactcolor {argv[0]}" if argv and argv[0] in cli.COMMANDS else "exactcolor"
+        assert err.startswith(f"{prog}: error: ")
+
+    @pytest.mark.parametrize("argv", [["--help"], ["-h"]])
+    def test_program_help_names_every_command_and_option(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        for name, command in cli.COMMANDS.items():
+            assert f"exactcolor {name} " in out
+            assert all(option in out for option in command.spec)
+        assert "1 usage or parse error" in out
+
+    @pytest.mark.parametrize("name", list(cli.COMMANDS))
+    @pytest.mark.parametrize("flag", ["--help", "-h", "--he"])
+    def test_command_help_names_every_option(self, capsys, name, flag):
+        code, out, err = run(capsys, name, flag)
+        assert (code, err) == (0, "")
+        assert out.startswith(f"usage: exactcolor {name} ")
+        assert all(f"    {option}" in out for option in cli.COMMANDS[name].spec)
+
+    def test_help_wins_over_a_missing_option(self, capsys):
+        code, out, _ = run(capsys, "solve", "g.txt", "-h")
+        assert code == 0 and "--budget" in out
+
+    def test_main_finds_the_handler_when_it_runs(self, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "cmd_solve", lambda args: calls.append(args) or 7)
+        assert main(["solve", "g.txt", "--d", "1", "--chi"]) == 7
+        assert [args.input for args in calls] == ["g.txt"]
+
+    def test_importing_the_cli_loads_no_argparse(self):
+        code = "import sys, exactcolor.cli; print('argparse' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        done = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr
 
 
 def test_a_corrupted_witness_is_an_error_not_an_answer(capsys, monkeypatch, cycle8_file):

@@ -49,6 +49,13 @@ class TestDefects:
         assert sum(defects(g, c)) % 2 == 0
 
     @given(graph_with_coloring())
+    @settings(max_examples=80)
+    def test_counts_each_vertex_s_same_colored_neighbors(self, gc):
+        g, c = gc
+        a = c.assign
+        assert defects(g, c) == [sum(a[u] == a[v] for u in g.adj[v]) for v in range(g.n)]
+
+    @given(graph_with_coloring())
     @settings(max_examples=60)
     def test_defect_bounded_by_degree(self, gc):
         g, c = gc

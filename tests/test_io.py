@@ -102,8 +102,8 @@ def random_plain_text(rng):
     return text + rng.choice(["", "\n"])
 
 
-def refuse_line_parsing(_):
-    raise AssertionError("plain EDGELIST text went to the line parser")
+def refuse_line_parsing(*_):
+    raise AssertionError("plain text went to the line parser")
 
 
 class TestEdgelistFastPath:
@@ -217,3 +217,62 @@ class TestColoringFiles:
     def test_color_range_checked(self):
         with pytest.raises(ParseError):
             read_coloring("2\n0\n5\n")
+
+
+def random_plain_coloring(rng):
+    """A plain coloring file and its vertex count: k, then one color per line."""
+    n = rng.choice([0, 1, rng.randint(2, 20), rng.randint(500, 2500)])
+    k = rng.randint(1, 12)
+    text = "\n".join(map(str, [k] + [rng.randrange(k) for _ in range(n)]))
+    return text + rng.choice(["", "\n"]), n
+
+
+# One coloring line: a color, or a form only the line parser reads (or rejects)
+_COLOR_LINE = st.one_of(
+    st.integers(0, 5).map(str),
+    st.sampled_from(["", "# c", "007", "-1", "+1", " 2", "2 ", "1 2", "x", "\u0663", "1_0", "1.0",
+                     "1e2"]),
+)
+
+
+@st.composite
+def coloring_texts(draw):
+    """Half plain texts (the JSON path's shape), half with any of the line parser's cases."""
+    plain = draw(st.booleans())
+    body = draw(st.lists(st.integers(0, 5).map(str) if plain else _COLOR_LINE, max_size=8))
+    lines = [draw(st.sampled_from(["3", "6", "0", "03"] if plain else ["3", "6", "x", "-2", ""]))]
+    eol = "\n" if plain else draw(st.sampled_from(["\n", "\r\n"]))
+    return eol.join(lines + body) + draw(st.sampled_from(["", eol, eol + eol]))
+
+
+def read_lines(n):
+    return lambda text: graph_io._read_coloring_lines(text, n)
+
+
+class TestColoringFastPath:
+    @given(coloring_texts(), st.sampled_from([None, 0, 2, 4]))
+    @settings(max_examples=300)
+    def test_same_coloring_or_error_as_the_line_parser(self, text, n):
+        expect = parse_outcome(read_lines(n), text)
+        assert parse_outcome(lambda t: read_coloring(t, n=n), text) == expect
+
+    def test_json_path_matches_the_line_parser_on_random_plain_files(self, monkeypatch):
+        rng = random.Random(5)
+        files = [random_plain_coloring(rng) for _ in range(300)]
+        expect = [read_lines(n)(text) for text, n in files]
+        monkeypatch.setattr(graph_io, "_read_coloring_lines", refuse_line_parsing)
+        assert [read_coloring(text, n=n) for text, n in files] == expect
+        assert read_coloring(files[0][0]) == expect[0]  # no count to check
+        assert any(not text.endswith("\n") for text, _ in files)
+        assert any(n == 0 for _, n in files) and any(n >= 500 for _, n in files)
+
+    @pytest.mark.parametrize("text,n", [
+        ("", None), ("\n", 0), ("3", 0), ("3\n", None),        # no colors, or not even k
+        ("2\n0\n5\n", None), ("0\n0\n", 1),                 # a color outside [0, k)
+        ("2\n0\n1\n", 3), ("2\n0\n1", 1),                   # the wrong count
+        ("007\n1\n", 1), ("3\n\n1\n", 1), ("3\r\n1\r\n", 1),  # only the line parser reads
+        ("3\n1\n" + "1" * 5000 + "\n", 2),                    # too many digits for JSON and int
+    ])
+    def test_texts_json_rejects_read_line_by_line(self, text, n):
+        expect = parse_outcome(read_lines(n), text)
+        assert parse_outcome(lambda t: read_coloring(t, n=n), text) == expect
