@@ -2,16 +2,16 @@
 
 Every color class of an exact (k, 2)-coloring induces disjoint cycles, and
 in a cactus all cycles are blocks.  So the monochromatic (M) cycle blocks
-form a cycle factor, every other cycle is polychromatic (P), and the solver
-runs on the leaves-first block sweep that the depth-first search of
-graphs.block_cut_tree records as it closes each block:
+form a cycle factor, every other cycle is polychromatic (P), and the solver,
+blockgraph.factor_chi, runs on the leaves-first block sweep that the
+depth-first search of graphs.block_cut_tree records as it closes each block:
 
 * preprocess: check that every block is an edge or a cycle; the rings of
   three or more vertices are the cycles, in cyclic order;
-* label: take the rings in sweep order, leaves first.  A ring with a free
-  (still untaken) non-entry vertex must be M and takes all its vertices;
-  every other cycle is P.  This forces the one cycle factor or shows
-  there is none;
+* label: graphs.block_factor at r = 3 takes the rings in sweep order,
+  leaves first.  A ring with a free (still untaken) non-entry vertex must
+  be M and takes all its vertices; every other cycle is P.  This forces
+  the one cycle factor or shows there is none;
 * extract: each M cycle is one class, and graphs.color_factor colors the
   classes off the same sweep, root first.  An M ring's vertices share its
   entry's class, and two cycles of a cactus share at most one vertex, so
@@ -41,7 +41,8 @@ from enum import Enum
 from functools import cached_property
 from typing import NamedTuple
 
-from .coloring import Coloring, INFEASIBLE, SolveOutcome
+from .blockgraph import factor_chi
+from .coloring import Coloring, SolveOutcome
 from .errors import IncompleteLabelingError, NotACactusError
 from .graphs import Graph, block_factor, color_factor
 
@@ -110,31 +111,19 @@ def cactus_preprocess(g: Graph) -> CactusAux:
 def cactus_label(aux: CactusAux) -> LabelResult:
     """Assign M/P to every cycle or reject with a reason.
 
-    One leaves-first pass over the sweep forces the cycle factor.  A cycle
-    whose ring has a free non-entry vertex must be M and takes all its
-    vertices; if one of them is already taken there is no factor.  All other
-    cycles are P, and a root or bridge end that no M cycle took is left
-    uncovered.  Whether the P cycles need a third color is for the
-    extraction to find.
+    The M cycles are the classes of graphs.block_factor at r = 3, which
+    forces the cycle factor.  Without one, the ring the pass stopped at is
+    a root or a bridge end that no M cycle took, or a cycle partly taken.
     """
-    taken = bytearray(aux.g.n)
-    is_taken = taken.__getitem__
-    labels = []
-    for _, ring in aux.g.bct.sweep:
-        if len(ring) < 3:  # a root or a bridge: its last vertex must be taken
-            if not taken[ring[-1]]:
-                return LabelResult(None, _reason(aux, NoReason.ALL_P_CLIQUE))
-            continue
-        count = sum(map(is_taken, ring))
-        if not count:
-            labels.append(M)
-            for w in ring:
-                taken[w] = 1
-        elif count - taken[ring[0]] == len(ring) - 1:  # every non-entry vertex
-            labels.append(P)
-        else:  # partly taken, or its entry vertex is
-            return LabelResult(None, _reason(aux, NoReason.ADJACENT_M))
-    return LabelResult(tuple(labels))
+    sweep = aux.g.bct.sweep
+    unread = iter(sweep)
+    factor = block_factor(aux.g.n, unread, 3, cyclic=True)
+    if factor is None:  # the pass stopped at the ring just before the unread ones
+        _, ring = sweep[-1 - sum(1 for _ in unread)]
+        found = NoReason.ALL_P_CLIQUE if len(ring) < 3 else NoReason.ADJACENT_M
+        return LabelResult(None, _reason(aux, found))
+    m_cycles = set(factor)
+    return LabelResult(tuple(M if cyc in m_cycles else P for cyc in aux.cycles))
 
 
 def _reason(aux: CactusAux, found: NoReason) -> NoReason:
@@ -166,12 +155,8 @@ def cactus_chi2(g: Graph) -> SolveOutcome:
     Infinite without a cycle factor, which no number of colors mends;
     otherwise the extraction's color count: 1, 2 or 3 (0 on no vertices).
     """
-    aux = cactus_preprocess(g)
-    res = cactus_label(aux)
-    if not res.ok:
-        return INFEASIBLE
-    c = cactus_extract_coloring(aux, res)
-    return SolveOutcome.finite(c.k, c)
+    cactus_preprocess(g)
+    return factor_chi(g, 2)
 
 
 def cactus_chi1(g: Graph) -> SolveOutcome:
@@ -183,8 +168,4 @@ def cactus_chi1(g: Graph) -> SolveOutcome:
     order, so the image of C in G/M has the same length for every M.
     """
     cactus_preprocess(g)
-    pairs = block_factor(g.n, g.bct.sweep, 2, cyclic=True)
-    if pairs is None:
-        return INFEASIBLE
-    k, color = color_factor(g.n, g.bct.sweep, pairs, cyclic=True)
-    return SolveOutcome.finite(k, Coloring(k, tuple(color)))
+    return factor_chi(g, 1)

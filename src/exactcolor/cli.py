@@ -94,11 +94,12 @@ def _decide(g, d, k, algorithm="auto") -> Report:
     return report
 
 
-def _check_reduction(source_yes, target, k, d, rmap) -> None:
+def _check_reduction(decide_source, target, k, d, rmap) -> None:
     if target.n > _CHECK_CAP:
         raise ExactColoringError(
             f"--check needs a target with at most {_CHECK_CAP} vertices (got {target.n})"
         )
+    source_yes = decide_source()  # only now, as the target passed the size cap
     witness = _decide(target, d, k, "brute").witness
     target_yes = witness is not None
     if source_yes != target_yes:
@@ -118,29 +119,26 @@ def cmd_reduce(args) -> int:
     if args.construction == "nae3sat":
         f = parse_nae_formula(read_text(args.input), strict=args.strict)
         target, rmap = reduce_nae3sat(f, variable_gadget=args.gadget)
-        source_yes = nae_satisfiable(f) is not None
+        decide_source = lambda: nae_satisfiable(f) is not None
         check_k, check_d = 2, 2
     else:
         g = load_graph(args.input, args.format)
-        # the source side of the round trip is only solved under --check
         if args.construction == "coloring":
             target, rmap = reduce_coloring_to_exact(g, args.k, args.d)
-            check_k, check_d = args.k, args.d
-            source_yes = args.check and _decide(g, 0, args.k).verdict == "yes"
+            check_k, check_d, source = args.k, args.d, (0, args.k)
         elif args.construction == "planar":
             target, rmap = reduce_planar_variant(g, args.d)
-            check_k, check_d = 3, args.d
-            source_yes = args.check and _decide(g, 0, 3).verdict == "yes"
+            check_k, check_d, source = 3, args.d, (0, 3)
         else:  # increment; the table admits no other construction
             target, rmap = reduce_increment_defect(g, args.d)
-            check_k, check_d = 2, args.d + 2
-            source_yes = args.check and _decide(g, args.d, 2, "brute").verdict == "yes"
+            check_k, check_d, source = 2, args.d + 2, (args.d, 2, "brute")
+        decide_source = lambda: _decide(g, *source).verdict == "yes"
 
     out_fmt = "edgelist" if args.construction == "nae3sat" else (args.format or "edgelist")
     _emit(write_graph(target, out_fmt), args.output, sys.stdout)
     _emit(rmap.to_json(), args.map or (args.output and args.output + ".map.json"), sys.stderr)
     if args.check:
-        _check_reduction(source_yes, target, check_k, check_d, rmap)
+        _check_reduction(decide_source, target, check_k, check_d, rmap)
     return EXIT_ANSWERED
 
 

@@ -285,7 +285,7 @@ def block_cut_tree(g: Graph) -> BlockCutTree:
 
 
 def block_factor(n: int, sweep, r: int, cyclic: bool = False) -> list[tuple[int, ...]] | None:
-    """A split of all n vertices into r-cliques inside blocks, or None if there is none.
+    """A split of all n vertices into classes inside blocks, or None if there is none.
 
     sweep is a leaves-first block sweep (BlockCutTree.sweep).  Each ring
     covers its free (not yet covered) non-entry vertices, which no later
@@ -294,18 +294,30 @@ def block_factor(n: int, sweep, r: int, cyclic: bool = False) -> list[tuple[int,
     already; any other nonzero remainder fails, and so does a root left
     free.  Both moves are forced, so the pass is exact.  A clique block
     groups the vertices it covers in sorted runs of r.  When cyclic, the
-    graph is a cactus and r = 2: a ring of three or more vertices is a
-    cycle, which pairs consecutive ring vertices, arc by arc between the
-    vertices it does not cover, and an odd arc fails.  Classes come in the
-    order the pass makes them.  Linear time.
+    graph is a cactus and a ring of three or more vertices is a cycle.  At
+    r = 2 it pairs consecutive ring vertices, arc by arc between the
+    vertices it does not cover, and an odd arc fails; at r = 3 it is one
+    class, the ring itself, or covers nothing, and fails if partly taken;
+    at larger r it fails unless it covers nothing.  Classes come in the
+    order the pass makes them.  Linear time; the pass reads the sweep no
+    further than the ring it fails at.
     """
-    taken = [False] * n
+    taken = bytearray(n)
+    is_taken = taken.__getitem__
+    whole = cyclic and r > 2
     classes: list[tuple[int, ...]] = []
     for i, ring in sweep:
         entry = ring[0]
-        if i is None:
-            if not taken[entry]:
-                return None  # a root no block took, e.g. an isolated vertex
+        if i is None and not taken[entry]:
+            return None  # a root no block took, e.g. an isolated vertex
+        if taken[ring[-1]] and (len(ring) < 3 or sum(map(is_taken, ring[1:])) == len(ring) - 1):
+            continue  # nothing left to cover (a root has no non-entry vertex)
+        if whole and len(ring) > 2:
+            if r > 3 or any(map(is_taken, ring)):
+                return None  # no K_r in a cycle, or it is partly taken, or its entry vertex is
+            classes.append(ring)
+            for w in ring:
+                taken[w] = 1
             continue
         free = [w for w in ring[1:] if not taken[w]]
         take = len(free) % r == r - 1
@@ -333,15 +345,15 @@ def block_factor(n: int, sweep, r: int, cyclic: bool = False) -> list[tuple[int,
             free.sort()
             classes.extend(zip(*[iter(free)] * r))  # consecutive runs of r
         for w in free:
-            taken[w] = True
+            taken[w] = 1
     return classes
 
 
 def color_factor(n: int, sweep, classes, cyclic: bool = False) -> tuple[int, list[int]]:
     """An optimal proper coloring of the quotient by a block factor, as (k, color per vertex).
 
-    classes are block_factor's over the same sweep, or the M cycles of a
-    cactus (cactus.cactus_label), which also cover every vertex.  The rings
+    classes are block_factor's over the same sweep (when cyclic, at r = 3
+    the M cycles of a cactus), which cover every vertex.  The rings
     are read in reverse, root first: each ring's entry vertex has a colored
     class, and every other class that touches the ring is new here.  A
     clique ring (or a root) gives its new classes 0, 1, 2, ... and skips

@@ -40,6 +40,16 @@ def solve_report(capsys, *argv):
     return code, rep
 
 
+def refuse_source(*_args, **_kwargs):
+    raise AssertionError("the source of the reduction was decided")
+
+
+def cycle_text(n, steps=(1,)):
+    """EDGELIST of the circulant on n vertices joining i to i + s for each s in steps."""
+    edges = [(i, (i + s) % n) for s in steps for i in range(n)]
+    return f"{n} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges)
+
+
 @pytest.fixture()
 def cycle8_file(tmp_path):
     p = tmp_path / "c8.txt"
@@ -311,6 +321,37 @@ class TestReduce:
         )
         assert code == 1
         assert err.endswith("error: --check gave up: node budget exhausted (after 0 nodes)\n")
+
+    def test_plain_nae3sat_decides_no_formula(self, capsys, tmp_path, monkeypatch):
+        # the 2^vars search over the formula runs only under --check
+        monkeypatch.setattr(cli, "nae_satisfiable", refuse_source)
+        nae = tmp_path / "f.nae"
+        nae.write_text("p nae 4 2\n1 2 3 0\n1 3 4 0\n")
+        out_g = tmp_path / "g.txt"
+        code, _, _ = run(capsys, "reduce", "nae3sat", str(nae), "-o", str(out_g))
+        assert code == 0 and load_graph(str(out_g)).n == 28
+        assert json.loads((tmp_path / "g.txt.map.json").read_text())["target_n"] == 28
+
+    @pytest.mark.parametrize("construction,source,target_n", [
+        ("nae3sat", "p nae 6 3\n1 2 3 0\n4 5 6 0\n1 4 6 0\n", 42),
+        ("coloring", cycle_text(25), 50),
+        ("planar", cycle_text(21, (1, 2)), 42),
+        ("increment", cycle_text(30), 150),
+    ], ids=["nae3sat", "coloring", "planar", "increment"])
+    def test_check_cap_comes_before_the_source_decision(
+        self, capsys, tmp_path, monkeypatch, construction, source, target_n
+    ):
+        monkeypatch.setattr(cli, "nae_satisfiable", refuse_source)
+        monkeypatch.setattr(cli, "solve", refuse_source)
+        src = tmp_path / "in.txt"
+        src.write_text(source)
+        out_g = tmp_path / "out.txt"
+        code, out, err = run(capsys, "reduce", construction, str(src), "--check", "-o", str(out_g))
+        assert (code, out) == (1, "")
+        assert err == f"error: --check needs a target with at most 40 vertices (got {target_n})\n"
+        # the target and its map are written before the check, as without it
+        assert load_graph(str(out_g)).n == target_n
+        assert json.loads((tmp_path / "out.txt.map.json").read_text())["target_n"] == target_n
 
     def test_check_cap(self, capsys, tmp_path):
         src = tmp_path / "big.txt"

@@ -52,6 +52,30 @@ def relabeled_tree(seed):
     return permuted(build_graph(n, edges), perm)
 
 
+def tree_chi1(t):
+    """chi_1 of a tree by stripping leaves, each matched to its one neighbor left.
+
+    1 for K2, 2 when the perfect matching exists (T/M is a tree on two or
+    more vertices), None (infinite) when some vertex is left unmatched.
+    """
+    nbrs = [set(a) for a in t.adj]
+    matched = [False] * t.n
+    leaves = [v for v in range(t.n) if len(nbrs[v]) <= 1]
+    while leaves:
+        v = leaves.pop()
+        if matched[v]:
+            continue
+        if not nbrs[v]:
+            return None  # its neighbors are all matched elsewhere
+        (u,) = nbrs[v]
+        matched[v] = matched[u] = True
+        for w in nbrs[u] - {v}:
+            nbrs[w].discard(u)
+            if len(nbrs[w]) <= 1:
+                leaves.append(w)
+    return 1 if t.n == 2 else 2
+
+
 class TestChiCycle:
     @pytest.mark.parametrize(
         "n,expect", [(8, 2), (12, 2), (6, 3), (10, 3), (7, None), (5, None), (9, None)]
@@ -171,6 +195,19 @@ class TestChiTree:
         for o in outs:
             if o.is_finite:
                 assert o.witness.k == o.chi and is_exact_coloring(t, o.witness, 1)
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_tree_routes_agree_with_leaf_stripping(self, seed):
+        # the three routes above share one factor pass; this reference does not
+        t = relabeled_tree(seed)
+        want = tree_chi1(t)
+        assert want is not None or not seed % 2
+        for out in (chi_tree(t, 1), cactus_chi1(t), blockgraph_chi(t, 1)):
+            assert (out.chi, out.is_infeasible) == (want, want is None)
+
+    def test_leaf_stripping_reference(self):
+        assert [tree_chi1(path(n)) for n in (1, 2, 3, 4, 5, 6)] == [None, 1, None, 2, None, 2]
+        assert tree_chi1(star(4)) is None
 
     @pytest.mark.parametrize("seed", range(16))
     @pytest.mark.parametrize("d", [1, 2, 3])

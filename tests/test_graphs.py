@@ -25,7 +25,7 @@ from exactcolor import (
     tightness_gadget,
 )
 from exactcolor.graphs import block_factor, is_tree
-from conftest import perfect_matchings_filter, relabeled_union
+from conftest import perfect_matchings_filter, permuted, planted_cactus, relabeled_union
 
 
 @st.composite
@@ -341,6 +341,43 @@ class TestBlockFactor:
         c4 = build_graph(4, [(0, 2), (2, 1), (1, 3), (3, 0)])
         assert block_factor(4, block_cut_tree(c4).sweep, 2, cyclic=True) == [(0, 2), (1, 3)]
         assert block_factor(g.n, sweep[-1:], 2) is None  # a root no block took
+
+    def test_cycle_classes_are_the_planted_factor(self):
+        # at r = 3 a cactus cycle is one class or covers nothing, so the pass
+        # finds the one cycle factor, whatever the numbering, and no perturbed
+        # cactus has one
+        for seed in range(240):
+            n = 5 + seed % 76
+            g, factor = planted_cactus(n, seed)
+            if seed % 2:
+                perm = list(range(g.n))
+                random.Random(seed).shuffle(perm)
+                g = permuted(g, perm)
+                factor = [frozenset(perm[v] for v in c) for c in factor]
+            classes = block_factor(g.n, block_cut_tree(g).sweep, 3, cyclic=True)
+            assert sorted(map(sorted, classes)) == sorted(map(sorted, factor)), seed
+            for perturb in ("pendant", "triangle", "bare", "p_only"):
+                h, _ = planted_cactus(n, seed, perturb)
+                assert block_factor(h.n, block_cut_tree(h).sweep, 3, cyclic=True) is None
+
+    @pytest.mark.parametrize("r", [4, 5, 6])
+    def test_a_cycle_holds_no_larger_class(self, r):
+        # a cactus cycle holds no connected (r - 1)-regular piece for r >= 4
+        for g in (cycle(5), cycle(6), cycle(3)):
+            assert block_factor(g.n, block_cut_tree(g).sweep, r, cyclic=True) is None
+
+    @pytest.mark.parametrize("edges, stop", [
+        ([(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)], (0, 1, 2)),  # bowtie: 2 is taken
+        ([(0, 1), (1, 2), (2, 0), (0, 3)], (0, 3)),  # triangle with pendant: 3 stays free
+    ], ids=["bowtie", "triangle_with_pendant"])
+    def test_pass_reads_no_further_than_the_ring_it_fails_at(self, edges, stop):
+        g = build_graph(1 + max(map(max, edges)), edges)
+        sweep = block_cut_tree(g).sweep
+        rest = iter(sweep)
+        assert block_factor(g.n, rest, 3, cyclic=True) is None
+        unread = list(rest)
+        assert sweep[len(sweep) - len(unread) - 1][1] == stop
+        assert unread == [(None, (0,))]  # only the root is left
 
 
 class TestRecognize:

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import exactcolor as xc
-from exactcolor import cactus, graphs
+from exactcolor import graphs
 
 from conftest import planted_cactus, relabeled_union
 
@@ -136,10 +136,10 @@ def test_polynomial_routes_find_the_components_once(monkeypatch, g, d, algorithm
 
 
 def test_d2_cactus_solve_labels_once(monkeypatch):
-    # an odd polychromatic cycle needs a third color: one labeling and one
-    # extraction find it, with no second labeling pass
-    labels = count_calls(monkeypatch, "cactus_label", cactus)
-    extracts = count_calls(monkeypatch, "cactus_extract_coloring", cactus)
+    # an odd polychromatic cycle needs a third color: one factor pass and one
+    # coloring find it, with no second labeling pass
+    labels = count_calls(monkeypatch, "block_factor")
+    extracts = count_calls(monkeypatch, "color_factor")
     g, _ = planted_cactus(200, seed=0)
     rep = xc.solve(g, 2)
     assert (rep.chi, rep.algorithm) == (3, "cactus")
