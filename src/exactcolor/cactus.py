@@ -62,9 +62,9 @@ class NoReason(Enum):
 class CactusAux:
     """Block structure of a cactus, read off its block-cut tree (Graph.bct).
 
-    Every solver here reads the tree's leaves-first sweep, g.bct.sweep.  A
-    ring of three or more vertices is a cycle in cyclic order, and cycles
-    lists them in sweep order, so cycle i is the i-th such ring.  The rest
+    Every solver here reads the tree's leaves-first sweep, g.bct.sweep,
+    whose rings are roots (1 vertex), bridges (2) and cycles (3 or more,
+    in cyclic order); cycles lists the cycles in sweep order.  The rest
     is built on first use: cliques[j] lists the cycles containing vertex j,
     and has_w[i] says cycle i contains a cycle-simplicial vertex (one lying
     on no other cycle), which only a rejection's reason needs.
@@ -75,7 +75,7 @@ class CactusAux:
 
     @cached_property
     def cycles(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(b for b in self.g.bct.blocks if len(b) > 2)
+        return tuple(ring for ring in self.g.bct.sweep if len(ring) > 2)
 
     @cached_property
     def cliques(self) -> tuple[tuple[int, ...], ...]:
@@ -119,7 +119,7 @@ def cactus_label(aux: CactusAux) -> LabelResult:
     unread = iter(sweep)
     factor = block_factor(aux.g.n, unread, 3, cyclic=True)
     if factor is None:  # the pass stopped at the ring just before the unread ones
-        _, ring = sweep[-1 - sum(1 for _ in unread)]
+        ring = sweep[-1 - sum(1 for _ in unread)]
         found = NoReason.ALL_P_CLIQUE if len(ring) < 3 else NoReason.ADJACENT_M
         return LabelResult(None, _reason(aux, found))
     m_cycles = set(factor)

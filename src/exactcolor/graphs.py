@@ -179,29 +179,32 @@ class BlockCutTree(NamedTuple):
     search reached first; on a cycle block the ring runs around the cycle.
     A triangle block counts toward both is_cactus and is_block_graph.
 
-    sweep holds (i, blocks[i]) for every block and (None, (r,)) for each
-    component's root r, its smallest vertex, in closing order.  A block
-    closes after every block entered at one of its other vertices, and a
-    root after its whole component, so the sweep runs leaves first; in
-    reverse, every entry vertex is reached before its ring.
+    sweep holds each block's ring and each component's root r, its smallest
+    vertex, as the 1-ring (r,), in closing order; blocks is its rings of two
+    or more vertices.  A block closes after every block entered at one of
+    its other vertices, and a root after its whole component, so the sweep
+    runs leaves first, and in reverse it reaches each entry before its ring.
     component_orders holds each component's vertex count, in root order.
     """
 
-    blocks: tuple[tuple[int, ...], ...]
-    sweep: tuple[tuple[int | None, tuple[int, ...]], ...]
+    sweep: tuple[tuple[int, ...], ...]
     component_orders: tuple[int, ...]
     is_cactus: bool          # every block is an edge or a cycle
     is_block_graph: bool     # every block is a clique
 
+    @property
+    def blocks(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(ring for ring in self.sweep if len(ring) > 1)
+
     def components(self) -> list[tuple[list[int], int]]:
         """(vertices, largest block size or 1) of each component, in root order.
 
-        A component's rings close before its root's marker, and each of its
+        A component's rings close before its root's 1-ring, and each of its
         other vertices is a non-entry vertex of exactly one of them.
         """
         comps, verts, big = [], [], 1
-        for i, ring in self.sweep:
-            if i is None:
+        for ring in self.sweep:
+            if len(ring) == 1:
                 comps.append((verts + [ring[0]], big))
                 verts, big = [], 1
             else:
@@ -215,9 +218,9 @@ def block_cut_tree(g: Graph) -> BlockCutTree:
 
     A block closes when the search returns from v to u with low[v] >=
     disc[u].  Its ring is u and the vertices pushed on the vertex stack
-    since v, which on a cycle run in cyclic order.  The tree edge to the
-    parent also lowers low[v], to disc[u] at most, which changes no test
-    against disc[u].
+    since v, which on a cycle run in cyclic order; a root closes as its
+    1-ring after its component.  The tree edge to the parent also lowers
+    low[v], to disc[u] at most, which changes no test against disc[u].
 
     The classes come from the block sizes b_B alone, with no edge count.
     Let c be the number of components.  Every edge lies in one block, and
@@ -236,7 +239,7 @@ def block_cut_tree(g: Graph) -> BlockCutTree:
     vpos = [0] * n          # index of v in the vertex stack
     vstack: list[int] = []
     timer = 0
-    blocks, sweep, orders = [], [], []
+    sweep, orders = [], []
 
     for root in range(n):
         if disc[root] != -1:
@@ -267,19 +270,16 @@ def block_cut_tree(g: Graph) -> BlockCutTree:
                 if lv < low[u]:
                     low[u] = lv
                 if lv >= disc[u]:
-                    ring = (u, *vstack[vpos[v]:])
+                    sweep.append((u, *vstack[vpos[v]:]))
                     del vstack[vpos[v]:]
-                    sweep.append((len(blocks), ring))
-                    blocks.append(ring)
-        sweep.append((None, (root,)))
+        sweep.append((root,))
         orders.append(timer - disc[root])  # the component's vertices are numbered last
 
-    sizes = list(map(len, blocks))  # every block has two or more vertices
+    sizes = list(map(len, sweep))  # a root's 1-ring adds 0 to the block graph sum
     return BlockCutTree(
-        blocks=tuple(blocks),
         sweep=tuple(sweep),
         component_orders=tuple(orders),
-        is_cactus=g.m - n + len(orders) == len(sizes) - sizes.count(2),
+        is_cactus=g.m - n + len(orders) == len(sizes) - sizes.count(1) - sizes.count(2),
         is_block_graph=sum(map(operator.mul, sizes, sizes)) - sum(sizes) == 2 * g.m,
     )
 
@@ -291,11 +291,11 @@ def block_factor(n: int, sweep, r: int, cyclic: bool = False) -> list[tuple[int,
     covers its free (not yet covered) non-entry vertices, which no later
     ring can reach.  It takes its entry vertex exactly when their count
     leaves remainder r - 1, and fails if a sibling block has taken it
-    already; any other nonzero remainder fails, and so does a root left
-    free.  Both moves are forced, so the pass is exact.  A clique block
-    groups the vertices it covers in sorted runs of r.  When cyclic, the
-    graph is a cactus and a ring of three or more vertices is a cycle.  At
-    r = 2 it pairs consecutive ring vertices, arc by arc between the
+    already; any other nonzero remainder fails, and so does a 1-ring (a
+    root) left free.  Both moves are forced, so the pass is exact.  A clique
+    block groups the vertices it covers in sorted runs of r.  When cyclic,
+    the graph is a cactus and a ring of three or more vertices is a cycle.
+    At r = 2 it pairs consecutive ring vertices, arc by arc between the
     vertices it does not cover, and an odd arc fails; at r = 3 it is one
     class, the ring itself, or covers nothing, and fails if partly taken;
     at larger r it fails unless it covers nothing.  Classes come in the
@@ -306,9 +306,9 @@ def block_factor(n: int, sweep, r: int, cyclic: bool = False) -> list[tuple[int,
     is_taken = taken.__getitem__
     whole = cyclic and r > 2
     classes: list[tuple[int, ...]] = []
-    for i, ring in sweep:
+    for ring in sweep:
         entry = ring[0]
-        if i is None and not taken[entry]:
+        if len(ring) == 1 and not taken[entry]:
             return None  # a root no block took, e.g. an isolated vertex
         if taken[ring[-1]] and (len(ring) < 3 or sum(map(is_taken, ring[1:])) == len(ring) - 1):
             continue  # nothing left to cover (a root has no non-entry vertex)
@@ -353,15 +353,15 @@ def color_factor(n: int, sweep, classes, cyclic: bool = False) -> tuple[int, lis
     """An optimal proper coloring of the quotient by a block factor, as (k, color per vertex).
 
     classes are block_factor's over the same sweep (when cyclic, at r = 3
-    the M cycles of a cactus), which cover every vertex.  The rings
-    are read in reverse, root first: each ring's entry vertex has a colored
+    the M cycles of a cactus), which cover every vertex.  The rings are
+    read in reverse, root first: each ring's entry vertex has a colored
     class, and every other class that touches the ring is new here.  A
-    clique ring (or a root) gives its new classes 0, 1, 2, ... and skips
-    the entry's color, which is first fit over the ring.  When cyclic, a
-    ring of three or more vertices is a cycle: each new run of one class
-    along it takes the smallest color that differs from the runs before
-    and after it, of which only the entry's can be colored; an M cycle is
-    all the entry's run and is skipped.  Why k is optimal: see the
+    clique ring (or a root's 1-ring) gives its new classes 0, 1, 2, ... and
+    skips the entry's color, which is first fit over the ring.  When
+    cyclic, a ring of three or more vertices is a cycle: each new run of
+    one class along it takes the smallest color that differs from the runs
+    before and after it, of which only the entry's can be colored; an M
+    cycle is all the entry's run and is skipped.  Why k is optimal: see the
     blockgraph and cactus modules.  Linear time.
     """
     cls = [0] * n
@@ -369,7 +369,7 @@ def color_factor(n: int, sweep, classes, cyclic: bool = False) -> tuple[int, lis
         for v in c:
             cls[v] = i
     ccolor = [-1] * len(classes)
-    for _, ring in reversed(sweep):
+    for ring in reversed(sweep):
         b = len(ring)
         if b == 1:  # a root, whose class is new
             ccolor[cls[ring[0]]] = 0

@@ -95,7 +95,7 @@ def first_fit_by_ring(n, sweep, classes):
         for v in c:
             cls[v] = i
     ccolor = [-1] * len(classes)
-    for _, ring in reversed(sweep):
+    for ring in reversed(sweep):
         used = set()
         for w in ring:
             if ccolor[cls[w]] == -1:
@@ -117,7 +117,7 @@ def test_clique_rings_color_first_fit():
         sweep = block_cut_tree(g).sweep
         classes = block_factor(g.n, sweep, d + 1)
         assert color_factor(g.n, sweep, classes) == first_fit_by_ring(g.n, sweep, classes)
-        rings += sum(len(ring) > 2 for _, ring in sweep)
+        rings += sum(len(ring) > 2 for ring in sweep)
     assert rings > 1000
 
 
@@ -125,7 +125,7 @@ def test_ring_of_runs_takes_a_third_color_before_its_entry():
     g = build_graph(14, RING_WRAP_CACTUS)
     sweep = block_cut_tree(g).sweep
     pairs = block_factor(14, sweep, 2, cyclic=True)
-    ring = next(r for _, r in sweep if len(r) == 5)
+    ring = next(r for r in sweep if len(r) == 5)
     assert (ring[-1], ring[0]) in pairs
     k, color = color_factor(14, sweep, pairs, cyclic=True)
     assert k == 3 and is_exact_coloring(g, xc.Coloring(k, tuple(color)), 1)

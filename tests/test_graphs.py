@@ -277,16 +277,16 @@ class TestBlockSweep:
     def test_rings_cover_every_block_once_leaves_last(self, g):
         bct = block_cut_tree(g)
         sweep = bct.sweep
-        roots = [ring[0] for i, ring in sweep if i is None]
+        # the 1-rings are exactly the roots, and the blocks are the other rings
+        roots = [ring[0] for ring in sweep if len(ring) == 1]
         assert roots == [comp[0] for comp in connected_components(g)]
-        assert sorted(i for i, _ in sweep if i is not None) == list(range(len(bct.blocks)))
+        assert bct.blocks == tuple(ring for ring in sweep if len(ring) >= 2)
         # every vertex but a root is a non-entry vertex of exactly one ring
-        non_entry = sorted(v for i, ring in sweep if i is not None for v in ring[1:])
+        non_entry = sorted(v for ring in sweep for v in ring[1:])
         assert non_entry == sorted(set(range(g.n)) - set(roots))
         reached = set()
-        for i, ring in reversed(sweep):
-            if i is not None:
-                assert ring == bct.blocks[i]
+        for ring in reversed(sweep):
+            if len(ring) > 1:
                 assert ring[0] in reached  # entered from a vertex the reversed sweep has reached
             reached.update(ring)
 
@@ -297,12 +297,12 @@ class TestBlockSweep:
         # vertex, or before w's own root entry when w is a root
         sweep = block_cut_tree(g).sweep
         home = {}
-        for pos, (i, ring) in enumerate(sweep):
-            for w in ring if i is None else ring[1:]:
+        for pos, ring in enumerate(sweep):
+            for w in ring if len(ring) == 1 else ring[1:]:
                 home[w] = pos
         assert sorted(home) == list(range(g.n))
-        for pos, (i, ring) in enumerate(sweep):
-            if i is not None:
+        for pos, ring in enumerate(sweep):
+            if len(ring) > 1:
                 assert pos < home[ring[0]]
 
 
@@ -376,8 +376,8 @@ class TestBlockFactor:
         rest = iter(sweep)
         assert block_factor(g.n, rest, 3, cyclic=True) is None
         unread = list(rest)
-        assert sweep[len(sweep) - len(unread) - 1][1] == stop
-        assert unread == [(None, (0,))]  # only the root is left
+        assert sweep[len(sweep) - len(unread) - 1] == stop
+        assert unread == [(0,)]  # only the root's 1-ring is left
 
 
 class TestRecognize:

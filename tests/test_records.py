@@ -40,7 +40,7 @@ RECORDS = [
      xc.SolveOutcome(1, xc.Coloring(1, (0,))), "SolveOutcome(infeasible)"),
     (lambda: xc.block_cut_tree(xc.path(2)), lambda: xc.block_cut_tree(xc.build_graph(2, [(1, 0)])),
      xc.block_cut_tree(xc.cycle(3)),
-     "BlockCutTree(blocks=((0, 1),), sweep=((0, (0, 1)), (None, (0,))), component_orders=(2,), "
+     "BlockCutTree(sweep=((0, 1), (0,)), component_orders=(2,), "
      "is_cactus=True, is_block_graph=True)"),
     (lambda: Matching(((0, 1),), True), lambda: Matching(edges=((0, 1),), perfect=True),
      Matching(((0, 1),)), "Matching(edges=((0, 1),), perfect=True)"),
