@@ -25,7 +25,7 @@ from . import families
 from .chromatic import DEFAULT_BUDGET
 from .coloring import defects
 from .errors import ExactColoringError
-from .graph_io import load_graph, read_coloring, read_text, write_graph
+from .graph_io import load_graph, read_bytes, read_coloring, write_graph
 from .reductions import (
     lift_solution,
     nae_satisfiable,
@@ -61,7 +61,7 @@ def cmd_solve(args) -> int:
 
 def cmd_verify(args) -> int:
     g = load_graph(args.graph, args.format)
-    col = read_coloring(read_text(args.coloring), n=g.n)
+    col = read_coloring(read_bytes(args.coloring), n=g.n)
     vec = defects(g, col)
     bad = [(v, x) for v, x in enumerate(vec) if x != args.d]
     if not bad:
@@ -117,7 +117,7 @@ def _check_reduction(decide_source, target, k, d, rmap) -> None:
 
 def cmd_reduce(args) -> int:
     if args.construction == "nae3sat":
-        f = parse_nae_formula(read_text(args.input), strict=args.strict)
+        f = parse_nae_formula(read_bytes(args.input), strict=args.strict)
         target, rmap = reduce_nae3sat(f, variable_gadget=args.gadget)
         decide_source = lambda: nae_satisfiable(f) is not None
         check_k, check_d = 2, 2

@@ -4,9 +4,14 @@ EDGELIST: first line ``n m``, then m lines ``u v`` with 0-based endpoints.
 DIMACS:   ``p edge n m`` header, ``e u v`` lines with 1-based endpoints,
           ``c ...`` comment lines ignored.
 
-Both read CRLF or LF and write LF.  Vertex indices normalize to dense
-0-based integers internally (DIMACS shifts by -1 on read, +1 on write).
-Reading back a written graph reproduces it exactly.
+Both write LF.  Vertex indices normalize to dense 0-based integers
+internally (DIMACS shifts by -1 on read, +1 on write).  Reading back a
+written graph reproduces it exactly.
+
+Files are read as bytes.  A plain file goes to ``json.loads`` undecoded;
+any other is decoded as UTF-8 with LF, CRLF and lone CR read as LF, as a
+text-mode ``open`` reads them, so a file and its bytes always parse the
+same.  A str is split at LF only: CRLF reads, a lone CR does not.
 """
 
 from __future__ import annotations
@@ -22,30 +27,38 @@ EDGELIST = "edgelist"
 DIMACS = "dimacs"
 
 
-_DROP_DIGITS = str.maketrans("", "", "0123456789")
-_FIRST_CHAR = re.compile(r"\S")
-
-
-def _not_utf8(exc: UnicodeDecodeError) -> ParseError:
-    return ParseError("not UTF-8 text", exc.object.count(b"\n", 0, exc.start) + 1)
+_DIGITS = b"0123456789"
+_TO_COMMAS = bytes.maketrans(b" \n", b",,")
+# The UTF-8 form of every character str.isspace accepts (tests check the
+# list against str.isspace), so bytes sniff as their text does undecoded.
+# re compiles it on first use and caches it, so importing the module does not.
+_LEADING_SPACE = (
+    rb"(?:[\t-\r\x1c- ]|\xc2[\x85\xa0]|\xe1\x9a\x80"
+    rb"|\xe2\x80[\x80-\x8a\xa8\xa9\xaf]|\xe2\x81\x9f|\xe3\x80\x80)*+"
+)
 
 
 def _to_text(data) -> str:
+    """str as it is; bytes as a text-mode open reads a file holding them.
+
+    That is UTF-8 with CRLF and lone CR read as LF.  Bad UTF-8 is a
+    ParseError on the line (counted in LFs) of the first bad byte.
+    """
     if isinstance(data, bytes):
         try:
-            return data.decode("utf-8")
+            text = data.decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise _not_utf8(exc) from None
+            raise ParseError("not UTF-8 text", data.count(b"\n", 0, exc.start) + 1) from None
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        return text
     return data
 
 
-def read_text(path: str) -> str:
-    """A UTF-8 text file's contents (newlines read as LF); bad UTF-8 is a ParseError."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return fh.read()
-        except UnicodeDecodeError as exc:
-            raise _not_utf8(exc) from None
+def read_bytes(path: str) -> bytes:
+    """A file's contents, undecoded: the parsers decode what is not plain."""
+    with open(path, "rb") as fh:
+        return fh.read()
 
 
 def _lines(text: str):
@@ -53,28 +66,26 @@ def _lines(text: str):
         yield i, raw.strip()
 
 
-def _parse_edgelist(text: str) -> Graph:
-    """A plain file as one JSON array; anything else, valid or not, line by line.
+def _plain_ints(data, line: bytes) -> list | None:
+    """The integers of a plain file as one JSON array, else None.
 
     A file is plain when, with its ASCII digits dropped, each line (LF only,
-    the last one may lack it) is a single space, so every line is "a b".
-    JSON reads its integers once the spaces and newlines become commas.  It
-    rejects empty tokens and leading zeros, so such files go to the line
-    parser and read as they always have, as does a file whose header's
-    edge count does not match.
+    the last one may lack it) is `line` without its LF.  JSON reads its
+    integers once the spaces and newlines become commas.  It rejects empty
+    tokens and leading zeros, so such files give None and go to a line
+    parser, as does a str that is not ASCII.
     """
-    body = text.removesuffix("\n")
-    if body.translate(_DROP_DIGITS) == " \n" * body.count("\n") + " ":
-        try:
-            values = json.loads("[" + body.replace(" ", ",").replace("\n", ",") + "]")
-        except ValueError:
-            pass
-        else:
-            if len(values) == 2 * values[1] + 2:
-                it = iter(values)
-                n, _ = next(it), next(it)
-                return build_graph(n, zip(it, it))
-    return _parse_edgelist_lines(text)
+    if isinstance(data, str):
+        if not data.isascii():
+            return None
+        data = data.encode("ascii")
+    body = data.removesuffix(b"\n")
+    if body.translate(None, _DIGITS) != line * body.count(b"\n") + line[:-1]:
+        return None
+    try:
+        return json.loads(b"[" + body.translate(_TO_COMMAS) + b"]")
+    except ValueError:
+        return None
 
 
 def _parse_edgelist_lines(text: str) -> Graph:
@@ -151,12 +162,22 @@ def _parse_dimacs(text: str) -> Graph:
 
 
 def read_graph(data, fmt: str = EDGELIST) -> Graph:
-    """Parse a graph from str or UTF-8 bytes in the given format."""
-    text = _to_text(data)
+    """Parse a graph in the given format from str, or from bytes as load_graph reads a file.
+
+    A plain EDGELIST file (_plain_ints: every line "a b") is read as one
+    JSON array, unless its header's edge count does not match; anything
+    else, valid or not, goes line by line.
+    """
     if fmt == EDGELIST:
-        return _parse_edgelist(text)
+        values = _plain_ints(data, b" \n")
+        if values is not None and len(values) == 2 * values[1] + 2:
+            it = iter(values)
+            del values  # the list and its ints go once build_graph has read the last edge
+            n, _ = next(it), next(it)
+            return build_graph(n, zip(it, it))
+        return _parse_edgelist_lines(_to_text(data))
     if fmt == DIMACS:
-        return _parse_dimacs(text)
+        return _parse_dimacs(_to_text(data))
     raise ParseError(f"unknown format {fmt!r}", 1)
 
 
@@ -175,13 +196,18 @@ def write_graph(g: Graph, fmt: str = EDGELIST) -> str:
 
 
 def sniff_format(data) -> str:
-    """Guess EDGELIST vs DIMACS from the first meaningful line."""
-    first = _FIRST_CHAR.search(_to_text(data))
-    return DIMACS if first and first.group() in ("p", "c", "e") else EDGELIST
+    """Guess EDGELIST vs DIMACS from the first character that is not whitespace.
+
+    Bytes are not decoded: only their leading whitespace is read.
+    """
+    if isinstance(data, bytes):
+        start = re.match(_LEADING_SPACE, data).end()
+        return DIMACS if data[start:start + 1] in (b"p", b"c", b"e") else EDGELIST
+    return DIMACS if data.lstrip()[:1] in ("p", "c", "e") else EDGELIST
 
 
 def load_graph(path: str, fmt: str | None = None) -> Graph:
-    data = read_text(path)
+    data = read_bytes(path)
     return read_graph(data, fmt or sniff_format(data))
 
 
@@ -190,24 +216,18 @@ def load_graph(path: str, fmt: str | None = None) -> Graph:
 # ---------------------------------------------------------------------------
 
 def read_coloring(data, n: int | None = None) -> Coloring:
-    """Parse a coloring; when n is given the entry count must match it.
+    """Parse a coloring from str or bytes (as read_graph); when n is given the entry count must match it.
 
-    A plain file, each line (LF only, the last one may lack it) a bare
-    non-negative integer, is read as one JSON array, as _parse_edgelist does;
-    any other file, or one whose count or colors do not fit, goes line by
-    line, so every error keeps its message and line.
+    A plain file (_plain_ints: every line a bare non-negative integer) is
+    read as one JSON array; any other file, or one whose count or colors do
+    not fit, goes line by line, so every error keeps its message and line.
     """
-    text = _to_text(data)
-    body = text.removesuffix("\n")
-    if body.translate(_DROP_DIGITS) == "\n" * body.count("\n"):
-        try:
-            k, *values = json.loads("[" + body.replace("\n", ",") + "]")
-        except ValueError:
-            pass
-        else:
-            if (n is None or len(values) == n) and (not values or max(values) < k):
-                return Coloring(k, tuple(values))
-    return _read_coloring_lines(text, n)
+    values = _plain_ints(data, b"\n")
+    if values:
+        k, *values = values
+        if (n is None or len(values) == n) and (not values or max(values) < k):
+            return Coloring(k, tuple(values))
+    return _read_coloring_lines(_to_text(data), n)
 
 
 def _read_coloring_lines(text: str, n: int | None) -> Coloring:

@@ -94,6 +94,7 @@ def build_graph(n: int, edges) -> Graph:
     if n < 0:
         raise OutOfRangeError("vertex count must be nonnegative")
     nbr: list[list[int]] = [[] for _ in range(n)]  # deduplicated at the end: sets cost 5x the memory
+    ids = list(range(n))  # one int object per vertex, not one per endpoint the input names
     ordered = True
     pu = pv = -1
     for u, v in edges:
@@ -108,8 +109,8 @@ def build_graph(n: int, edges) -> Graph:
             if u == v:
                 raise SelfLoopError(f"self-loop at vertex {u}")
             ordered = False
-        nbr[u].append(v)
-        nbr[v].append(u)
+        nbr[u].append(ids[v])
+        nbr[v].append(ids[u])
     if ordered:
         return Graph(n, tuple(map(tuple, nbr)))
     return Graph(n, tuple(map(tuple, map(sorted, map(set, nbr)))))

@@ -16,13 +16,18 @@ from exactcolor import (
     connected_components,
     contract_partition,
     cycle,
+    family_names,
+    gen_family,
+    induced_subgraph,
     is_chordal,
+    load_graph,
     path,
     perfect_matchings,
     petersen,
     random_cactus,
     recognize,
     tightness_gadget,
+    write_graph,
 )
 from exactcolor.graphs import block_factor, is_tree
 from conftest import perfect_matchings_filter, permuted, planted_cactus, relabeled_union
@@ -140,6 +145,73 @@ class TestBuildGraph:
             for u in g.adj[v]:
                 assert v in g.adj[u]
                 assert u != v
+
+
+def distinct_ints(g):
+    """How many int objects g.adj holds, counted by identity."""
+    return len({id(x) for a in g.adj for x in a})
+
+
+def big_edge_list(rng, ordered):
+    """(n, edges) past the interpreter's cached small ints, each endpoint an int object of its own.
+
+    Ordered lists are strictly increasing pairs u < v; the others are
+    shuffled, half flipped, with repeats.
+    """
+    n = rng.randint(500, 800)
+    pairs = {tuple(sorted(rng.sample(range(n), 2))) for _ in range(rng.randint(n, 2 * n))}
+    edges = sorted(pairs)
+    if not ordered:
+        edges += rng.sample(edges, len(edges) // 4)
+        edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]
+        rng.shuffle(edges)
+    return n, [(int(str(u)), int(str(v))) for u, v in edges]
+
+
+FAMILY_ARGS = {
+    "cycle": {"n": 300}, "path": {"n": 300}, "complete": {"n": 300}, "wheel": {"n": 300},
+    "star": {"n": 300}, "petersen": {}, "cartesian_k2_complete": {"m": 150},
+    "categorical_k2_complete": {"m": 150}, "tightness_gadget": {}, "octahedron": {},
+    "icosahedron": {}, "random_graph": {"n": 300, "p": 0.05, "seed": 1},
+    "random_cactus": {"n": 600, "seed": 1, "style": "mixed"},
+    "random_block_graph": {"n": 600, "seed": 1},
+}
+
+
+class TestOneIntPerVertex:
+    """A graph's adjacency holds one int object per vertex, however its edges were named."""
+
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    @settings(max_examples=30)
+    def test_build_graph_induced_subgraph_and_contract_partition(self, seed, ordered):
+        rng = random.Random(seed)
+        n, edges = big_edge_list(rng, ordered)
+        assert len({id(x) for e in edges for x in e}) > n  # the input holds more
+        g = build_graph(n, edges)
+        assert distinct_ints(g) <= g.n
+        sub, _ = induced_subgraph(g, rng.sample(range(n), 400))
+        assert distinct_ints(sub) <= sub.n
+        cuts = sorted(rng.sample(range(1, n), n // 3))  # runs of a Hamiltonian path are connected
+        parts = [range(a, b) for a, b in zip([0] + cuts, cuts + [n])]
+        q = contract_partition(build_graph(n, edges + [(v, v + 1) for v in range(n - 1)]), parts)
+        assert q.n == len(parts) and distinct_ints(q) <= q.n
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["edgelist", "dimacs", "crlf"]))
+    @settings(max_examples=30)
+    def test_load_graph(self, tmp_path_factory, seed, form):
+        n, edges = big_edge_list(random.Random(seed), False)
+        g = build_graph(n, edges)
+        text = write_graph(g, "dimacs" if form == "dimacs" else "edgelist")
+        path = tmp_path_factory.getbasetemp() / "one-int-per-vertex.txt"
+        path.write_bytes(text.replace("\n", "\r\n" if form == "crlf" else "\n").encode())
+        loaded = load_graph(path)
+        assert loaded == g and distinct_ints(loaded) <= loaded.n
+
+    def test_families(self):
+        assert sorted(FAMILY_ARGS) == family_names()
+        for name, args in FAMILY_ARGS.items():
+            g = gen_family(name, **args)
+            assert distinct_ints(g) <= g.n, name
 
 
 class TestBlockCutTree:

@@ -1,4 +1,5 @@
 import random
+import re
 
 from hypothesis import given, settings, strategies as st
 import pytest
@@ -11,6 +12,7 @@ from exactcolor import (
     ParseError,
     SelfLoopError,
     build_graph,
+    load_graph,
     path,
     read_coloring,
     read_graph,
@@ -40,6 +42,12 @@ class TestEdgelist:
 
     def test_bytes_input(self):
         assert read_graph(b"2 1\n0 1\n") == path(2)
+
+    def test_bytes_read_newlines_as_a_file_does(self, tmp_path):
+        for data in (b"3 2\r0 1\r1 2\r", b"# c\r3 2\r0 1\r\r1 2", b"3 2\r\n0 1\r1 2",
+                     b"p edge 3 2\re 1 2\r\ne 2 3\r"):
+            (tmp_path / "g").write_bytes(data)
+            assert read_graph(data, sniff_format(data)) == load_graph(tmp_path / "g") == path(3)
 
     def test_missing_header(self):
         with pytest.raises(ParseError):
@@ -119,6 +127,7 @@ class TestEdgelistFastPath:
         expect = [graph_io._parse_edgelist_lines(text) for text in texts]
         monkeypatch.setattr(graph_io, "_parse_edgelist_lines", refuse_line_parsing)
         assert [read_graph(text) for text in texts] == expect
+        assert [read_graph(text.encode()) for text in texts] == expect
         # the cases the generator promises all occur
         assert any(g.m == 0 and g.n >= 2 for g in expect)
         assert any(not text.endswith("\n") for text in texts)
@@ -153,6 +162,77 @@ class TestEdgelistFastPath:
             read_graph("4 1\n3 3\n")
 
 
+@st.composite
+def graph_files(draw):
+    """A graph file's bytes, the newline it uses and the line (1-based) of its one non-UTF-8 byte.
+
+    EDGELIST or DIMACS, with LF, CRLF or lone CR, maybe a BOM, comment and
+    blank lines, tabs, trailing spaces, leading zeros, a wrong edge count,
+    self-loops and endpoints out of range.
+    """
+    dimacs = draw(st.booleans())
+    n = draw(st.integers(0, 6))
+    base = 1 if dimacs else 0
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=6)) if pairs else []
+    edges = [e[::-1] if draw(st.booleans()) else e for e in edges]
+    defect = draw(st.sampled_from([None, None, None, "self-loop", "out of range"]))
+    if defect == "self-loop":
+        edges.append((n // 2, n // 2))
+    elif defect == "out of range":
+        edges.append(draw(st.sampled_from([(-1, 0), (0, n), (n + 1, 0)])))
+
+    def num(x):
+        return draw(st.sampled_from(["", "", "0"])) + str(x)
+
+    def line(*fields):
+        sep = draw(st.sampled_from([" ", " ", "\t", "  "]))
+        return sep.join(fields) + draw(st.sampled_from(["", "", " ", "\t"]))
+
+    m = len(edges) + draw(st.sampled_from([0, 0, 0, -1, 1]))
+    if dimacs:
+        lines = [line("p", "edge", num(n), num(m))] + [line("e", num(u + base), num(v + base)) for u, v in edges]
+    else:
+        lines = [line(num(n), num(m))] + [line(num(u), num(v)) for u, v in edges]
+    for extra in draw(st.lists(st.sampled_from(["", "c made by hand" if dimacs else "# c"]), max_size=2)):
+        lines.insert(draw(st.integers(0, len(lines))), extra)
+    if draw(st.integers(0, 4)) == 0:
+        lines[0] = "\ufeff" + lines[0]
+    raw = [text.encode() for text in lines]
+    bad_line = None
+    if draw(st.integers(0, 4)) == 0:
+        bad_line = draw(st.integers(1, len(raw)))
+        raw[bad_line - 1] += b"\xff"
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    data = eol.encode().join(raw) + draw(st.sampled_from([b"", eol.encode()]))
+    return data, eol, bad_line
+
+
+def text_mode_outcome(path, fmt):
+    """read_graph on the file read in text mode, as load_graph read it before files were read as bytes."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        return ParseError, line, f"line {line}: not UTF-8 text"
+    return parse_outcome(lambda t: read_graph(t, fmt or sniff_format(t)), text)
+
+
+class TestLoadGraph:
+    @given(graph_files(), st.sampled_from([None, None, None, "edgelist", "dimacs"]))
+    @settings(max_examples=400)
+    def test_a_file_loads_as_its_text_mode_read_parses(self, tmp_path_factory, file, fmt):
+        data, eol, bad_line = file
+        path = tmp_path_factory.getbasetemp() / "loader-equivalence.txt"
+        path.write_bytes(data)
+        got = parse_outcome(lambda p: load_graph(p, fmt), path)
+        assert got == text_mode_outcome(path, fmt)
+        if bad_line is not None and eol != "\r":  # a lone-CR file's lines are counted in LFs
+            assert got == (ParseError, bad_line, f"line {bad_line}: not UTF-8 text")
+        assert parse_outcome(lambda d: read_graph(d, fmt or sniff_format(d)), data) == got
+
+
 class TestDimacs:
     def test_path3(self):
         g = read_graph("p edge 3 2\ne 1 2\ne 2 3", fmt="dimacs")
@@ -185,6 +265,23 @@ class TestDimacs:
         assert sniff_format(b"\r\n  e 1 2\n") == "dimacs"
         assert sniff_format("\n\n# c\n3 0\n") == "edgelist"
         assert sniff_format(" \n\n") == sniff_format("") == "edgelist"
+
+    @pytest.mark.parametrize("text", ["\x1cp edge 1 0", "\xa0p edge 1 0", "\x85e 1 2",
+                                      "\u3000\u2028\tc x", "\ufeffp edge 1 0", "\x1b p", "\u200bp"])
+    def test_sniff_skips_unicode_whitespace_in_bytes(self, text):
+        assert sniff_format(text.encode()) == sniff_format(text)
+
+    def test_bytes_sniff_skips_exactly_the_characters_str_isspace_accepts(self):
+        skip = re.compile(graph_io._LEADING_SPACE).fullmatch
+        for c in range(0x110000):
+            ch = chr(c)
+            assert bool(skip(ch.encode("utf-8", "surrogatepass"))) == ch.isspace(), hex(c)
+
+    @given(st.text(st.sampled_from(" \t\n\r\x0b\x1c\x1f\x85\xa0\u2000\u3000\ufeff\x1bpce1#"),
+                   max_size=8))
+    @settings(max_examples=300)
+    def test_bytes_sniff_as_their_text(self, text):
+        assert sniff_format(text.encode()) == sniff_format(text)
 
 
 class TestRoundTrip:
@@ -255,6 +352,7 @@ class TestColoringFastPath:
     def test_same_coloring_or_error_as_the_line_parser(self, text, n):
         expect = parse_outcome(read_lines(n), text)
         assert parse_outcome(lambda t: read_coloring(t, n=n), text) == expect
+        assert parse_outcome(lambda t: read_coloring(t, n=n), text.encode()) == expect
 
     def test_json_path_matches_the_line_parser_on_random_plain_files(self, monkeypatch):
         rng = random.Random(5)
@@ -262,6 +360,7 @@ class TestColoringFastPath:
         expect = [read_lines(n)(text) for text, n in files]
         monkeypatch.setattr(graph_io, "_read_coloring_lines", refuse_line_parsing)
         assert [read_coloring(text, n=n) for text, n in files] == expect
+        assert [read_coloring(text.encode(), n=n) for text, n in files] == expect
         assert read_coloring(files[0][0]) == expect[0]  # no count to check
         assert any(not text.endswith("\n") for text, _ in files)
         assert any(n == 0 for _, n in files) and any(n >= 500 for _, n in files)
