@@ -10,8 +10,8 @@ written graph reproduces it exactly.
 
 Files are read as bytes.  A plain file goes to ``json.loads`` undecoded;
 any other is decoded as UTF-8 with LF, CRLF and lone CR read as LF, as a
-text-mode ``open`` reads them, so a file and its bytes always parse the
-same.  A str is split at LF only: CRLF reads, a lone CR does not.
+text-mode ``open`` reads them.  A str reads its newlines the same way, so
+a file, its bytes and its text always parse the same.
 """
 
 from __future__ import annotations
@@ -34,25 +34,25 @@ _TO_COMMAS = bytes.maketrans(b" \n", b",,")
 # re compiles it on first use and caches it, so importing the module does not.
 _LEADING_SPACE = (
     rb"(?:[\t-\r\x1c- ]|\xc2[\x85\xa0]|\xe1\x9a\x80"
-    rb"|\xe2\x80[\x80-\x8a\xa8\xa9\xaf]|\xe2\x81\x9f|\xe3\x80\x80)*+"
+    rb"|\xe2\x80[\x80-\x8a\xa8\xa9\xaf]|\xe2\x81\x9f|\xe3\x80\x80)*"
 )
 
 
 def _to_text(data) -> str:
-    """str as it is; bytes as a text-mode open reads a file holding them.
+    """str or bytes as a text-mode open reads a file holding them.
 
     That is UTF-8 with CRLF and lone CR read as LF.  Bad UTF-8 is a
-    ParseError on the line (counted in LFs) of the first bad byte.
+    ParseError on the line of the first bad byte.
     """
     if isinstance(data, bytes):
+        # CR is never part of a multi-byte UTF-8 sequence, so reading the
+        # newlines first leaves the decoded text as it was and counts lines right.
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
         try:
-            text = data.decode("utf-8")
+            return data.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ParseError("not UTF-8 text", data.count(b"\n", 0, exc.start) + 1) from None
-        if "\r" in text:
-            text = text.replace("\r\n", "\n").replace("\r", "\n")
-        return text
-    return data
+    return data.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def read_bytes(path: str) -> bytes:

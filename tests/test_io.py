@@ -47,7 +47,15 @@ class TestEdgelist:
         for data in (b"3 2\r0 1\r1 2\r", b"# c\r3 2\r0 1\r\r1 2", b"3 2\r\n0 1\r1 2",
                      b"p edge 3 2\re 1 2\r\ne 2 3\r"):
             (tmp_path / "g").write_bytes(data)
+            text = data.decode()
             assert read_graph(data, sniff_format(data)) == load_graph(tmp_path / "g") == path(3)
+            assert read_graph(text, sniff_format(text)) == path(3)
+
+    def test_a_bad_byte_is_on_the_line_a_text_mode_read_counts(self):
+        for eol in (b"\n", b"\r\n", b"\r"):
+            with pytest.raises(ParseError) as info:
+                read_graph(eol.join([b"3 2", b"0 1", b"1 \xff2", b""]))
+            assert str(info.value) == "line 3: not UTF-8 text"
 
     def test_missing_header(self):
         with pytest.raises(ParseError):
@@ -164,7 +172,7 @@ class TestEdgelistFastPath:
 
 @st.composite
 def graph_files(draw):
-    """A graph file's bytes, the newline it uses and the line (1-based) of its one non-UTF-8 byte.
+    """A graph file's bytes and the line (1-based) of its one non-UTF-8 byte, if it has one.
 
     EDGELIST or DIMACS, with LF, CRLF or lone CR, maybe a BOM, comment and
     blank lines, tabs, trailing spaces, leading zeros, a wrong edge count,
@@ -205,16 +213,16 @@ def graph_files(draw):
         raw[bad_line - 1] += b"\xff"
     eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     data = eol.encode().join(raw) + draw(st.sampled_from([b"", eol.encode()]))
-    return data, eol, bad_line
+    return data, bad_line
 
 
 def text_mode_outcome(path, fmt):
     """read_graph on the file read in text mode, as load_graph read it before files were read as bytes."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except UnicodeDecodeError as exc:
-        line = exc.object.count(b"\n", 0, exc.start) + 1
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        text = fh.read()
+    bad = re.search("[\udc80-\udcff]", text)
+    if bad:
+        line = text.count("\n", 0, bad.start()) + 1
         return ParseError, line, f"line {line}: not UTF-8 text"
     return parse_outcome(lambda t: read_graph(t, fmt or sniff_format(t)), text)
 
@@ -223,12 +231,12 @@ class TestLoadGraph:
     @given(graph_files(), st.sampled_from([None, None, None, "edgelist", "dimacs"]))
     @settings(max_examples=400)
     def test_a_file_loads_as_its_text_mode_read_parses(self, tmp_path_factory, file, fmt):
-        data, eol, bad_line = file
+        data, bad_line = file
         path = tmp_path_factory.getbasetemp() / "loader-equivalence.txt"
         path.write_bytes(data)
         got = parse_outcome(lambda p: load_graph(p, fmt), path)
         assert got == text_mode_outcome(path, fmt)
-        if bad_line is not None and eol != "\r":  # a lone-CR file's lines are counted in LFs
+        if bad_line is not None:
             assert got == (ParseError, bad_line, f"line {bad_line}: not UTF-8 text")
         assert parse_outcome(lambda d: read_graph(d, fmt or sniff_format(d)), data) == got
 
