@@ -17,7 +17,6 @@ a file, its bytes and its text always parse the same.
 from __future__ import annotations
 
 import json
-import re
 
 from .coloring import Coloring
 from .errors import InconsistentHeaderError, ParseError
@@ -29,13 +28,6 @@ DIMACS = "dimacs"
 
 _DIGITS = b"0123456789"
 _TO_COMMAS = bytes.maketrans(b" \n", b",,")
-# The UTF-8 form of every character str.isspace accepts (tests check the
-# list against str.isspace), so bytes sniff as their text does undecoded.
-# re compiles it on first use and caches it, so importing the module does not.
-_LEADING_SPACE = (
-    rb"(?:[\t-\r\x1c- ]|\xc2[\x85\xa0]|\xe1\x9a\x80"
-    rb"|\xe2\x80[\x80-\x8a\xa8\xa9\xaf]|\xe2\x81\x9f|\xe3\x80\x80)*"
-)
 
 
 def _to_text(data) -> str:
@@ -61,9 +53,14 @@ def read_bytes(path: str) -> bytes:
         return fh.read()
 
 
-def _lines(text: str):
-    for i, raw in enumerate(text.split("\n"), start=1):
-        yield i, raw.strip()
+def _records(data, comment: str):
+    """(line number, fields) of each line of _to_text(data) that is neither blank nor a comment.
+
+    Fields split at any whitespace; a comment's first field starts with `comment`.
+    A generator, so only one line's fields are alive at a time.
+    """
+    return ((lineno, fields) for lineno, line in enumerate(_to_text(data).split("\n"), 1)
+            if (fields := line.split()) and not fields[0].startswith(comment))
 
 
 def _plain_ints(data, line: bytes) -> list | None:
@@ -88,30 +85,26 @@ def _plain_ints(data, line: bytes) -> list | None:
         return None
 
 
-def _parse_edgelist_lines(text: str) -> Graph:
-    header = None
+def _parse_edgelist_lines(data) -> Graph:
+    records = _records(data, "#")
+    header = next(records, None)
+    if header is None:
+        raise ParseError("missing header 'n m'", 1)
+    lineno, fields = header
+    if len(fields) != 2:
+        raise ParseError("expected header 'n m'", lineno)
+    try:
+        n, m = int(fields[0]), int(fields[1])
+    except ValueError:
+        raise ParseError("non-integer in header", lineno) from None
     edges = []
-    for lineno, line in _lines(text):
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
-        if header is None:
-            if len(fields) != 2:
-                raise ParseError("expected header 'n m'", lineno)
-            try:
-                header = (int(fields[0]), int(fields[1]))
-            except ValueError:
-                raise ParseError("non-integer in header", lineno) from None
-            continue
+    for lineno, fields in records:
         if len(fields) != 2:
             raise ParseError("expected edge line 'u v'", lineno)
         try:
             edges.append((int(fields[0]), int(fields[1])))
         except ValueError:
             raise ParseError("non-integer endpoint", lineno) from None
-    if header is None:
-        raise ParseError("missing header 'n m'", 1)
-    n, m = header
     if len(edges) != m:
         raise InconsistentHeaderError(
             f"header declares {m} edges but {len(edges)} edge lines found", 1
@@ -119,13 +112,10 @@ def _parse_edgelist_lines(text: str) -> Graph:
     return build_graph(n, edges)
 
 
-def _parse_dimacs(text: str) -> Graph:
+def _parse_dimacs(data) -> Graph:
     header = None
     edges = []
-    for lineno, line in _lines(text):
-        if not line or line.startswith("c"):
-            continue
-        fields = line.split()
+    for lineno, fields in _records(data, "c"):
         if fields[0] == "p":
             if header is not None:
                 raise ParseError("duplicate problem line", lineno)
@@ -148,6 +138,8 @@ def _parse_dimacs(text: str) -> Graph:
                 raise ParseError("DIMACS vertices are 1-based", lineno)
             if max(u, v) > header[0]:
                 raise ParseError(f"vertex {max(u, v)} exceeds n = {header[0]}", lineno)
+            if u == v:
+                raise ParseError(f"self-loop at vertex {u}", lineno)
             edges.append((u - 1, v - 1))
         else:
             raise ParseError(f"unknown line type {fields[0]!r}", lineno)
@@ -175,9 +167,9 @@ def read_graph(data, fmt: str = EDGELIST) -> Graph:
             del values  # the list and its ints go once build_graph has read the last edge
             n, _ = next(it), next(it)
             return build_graph(n, zip(it, it))
-        return _parse_edgelist_lines(_to_text(data))
+        return _parse_edgelist_lines(data)
     if fmt == DIMACS:
-        return _parse_dimacs(_to_text(data))
+        return _parse_dimacs(data)
     raise ParseError(f"unknown format {fmt!r}", 1)
 
 
@@ -198,11 +190,14 @@ def write_graph(g: Graph, fmt: str = EDGELIST) -> str:
 def sniff_format(data) -> str:
     """Guess EDGELIST vs DIMACS from the first character that is not whitespace.
 
-    Bytes are not decoded: only their leading whitespace is read.
+    Input that starts with a digit is EDGELIST and is not decoded, so a
+    plain file never is.  Other bytes are decoded with bad UTF-8 replaced,
+    so the sniff never raises and bytes sniff as their text.
     """
+    if data[:1].isdigit():
+        return EDGELIST
     if isinstance(data, bytes):
-        start = re.match(_LEADING_SPACE, data).end()
-        return DIMACS if data[start:start + 1] in (b"p", b"c", b"e") else EDGELIST
+        data = data.decode("utf-8", "replace")
     return DIMACS if data.lstrip()[:1] in ("p", "c", "e") else EDGELIST
 
 
@@ -227,17 +222,16 @@ def read_coloring(data, n: int | None = None) -> Coloring:
         k, *values = values
         if (n is None or len(values) == n) and (not values or max(values) < k):
             return Coloring(k, tuple(values))
-    return _read_coloring_lines(_to_text(data), n)
+    return _read_coloring_lines(data, n)
 
 
-def _read_coloring_lines(text: str, n: int | None) -> Coloring:
+def _read_coloring_lines(data, n: int | None) -> Coloring:
     values = []
     k = None
-    for lineno, line in _lines(text):
-        if not line or line.startswith("#"):
-            continue
+    for lineno, fields in _records(data, "#"):
         try:
-            value = int(line)
+            (entry,) = fields  # more than one field is a ValueError too
+            value = int(entry)
         except ValueError:
             raise ParseError("non-integer entry", lineno) from None
         if k is None:

@@ -41,7 +41,7 @@ from .errors import (
     ParseError,
 )
 from .families import complete, icosahedron, octahedron
-from .graph_io import _to_text
+from .graph_io import _records
 from .graphs import Graph, build_graph
 
 
@@ -86,14 +86,9 @@ def parse_nae_formula(data, strict: bool = False) -> NaeFormula:
     With strict=True a clause repeating a variable is rejected; otherwise it
     is kept verbatim.
     """
-    text = _to_text(data)
     header = None
     clauses = []
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        fields = line.split()
+    for lineno, fields in _records(data, "c"):
         if fields[0] == "p":
             if header is not None:
                 raise ParseError("duplicate header", lineno)

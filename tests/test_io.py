@@ -161,13 +161,18 @@ class TestEdgelistFastPath:
     def test_texts_json_rejects_read_line_by_line(self, text, expect):
         assert parse_outcome(read_graph, text) == expect
 
-    def test_plain_files_never_reach_the_line_parser(self, monkeypatch):
+    def test_plain_files_never_reach_the_line_parser(self, monkeypatch, tmp_path):
+        big = path(10**4)
+        (tmp_path / "big.txt").write_text(write_graph(big))
         monkeypatch.setattr(graph_io, "_parse_edgelist_lines", refuse_line_parsing)
         assert read_graph(write_graph(path(40))) == path(40)
         assert read_graph(write_graph(build_graph(5, []))) == build_graph(5, [])
         assert read_graph("3 2\n0 1\n1 2") == path(3)
         with pytest.raises(SelfLoopError):   # found by build_graph, not by the parser
             read_graph("4 1\n3 3\n")
+        monkeypatch.setattr(graph_io, "_to_text", refuse_line_parsing)   # nor is it decoded
+        assert sniff_format(graph_io.read_bytes(tmp_path / "big.txt")) == "edgelist"
+        assert load_graph(tmp_path / "big.txt") == big
 
 
 @st.composite
@@ -264,6 +269,12 @@ class TestDimacs:
         with pytest.raises(InconsistentHeaderError):
             read_graph("p edge 3 5\ne 1 2\n", fmt="dimacs")
 
+    def test_self_loop_names_the_file_vertex_and_line(self):
+        with pytest.raises(ParseError) as info:
+            read_graph("p edge 3 1\ne 2 2\n", fmt="dimacs")
+        assert info.value.line == 2
+        assert str(info.value) == "line 2: self-loop at vertex 2"
+
     def test_sniff(self):
         assert sniff_format("p edge 1 0\n") == "dimacs"
         assert sniff_format("3 0\n") == "edgelist"
@@ -278,12 +289,6 @@ class TestDimacs:
                                       "\u3000\u2028\tc x", "\ufeffp edge 1 0", "\x1b p", "\u200bp"])
     def test_sniff_skips_unicode_whitespace_in_bytes(self, text):
         assert sniff_format(text.encode()) == sniff_format(text)
-
-    def test_bytes_sniff_skips_exactly_the_characters_str_isspace_accepts(self):
-        skip = re.compile(graph_io._LEADING_SPACE).fullmatch
-        for c in range(0x110000):
-            ch = chr(c)
-            assert bool(skip(ch.encode("utf-8", "surrogatepass"))) == ch.isspace(), hex(c)
 
     @given(st.text(st.sampled_from(" \t\n\r\x0b\x1c\x1f\x85\xa0\u2000\u3000\ufeff\x1bpce1#"),
                    max_size=8))

@@ -23,6 +23,7 @@ from exactcolor import (
     octahedron,
     parse_nae_formula,
     path,
+    read_graph,
     reduce_coloring_to_exact,
     reduce_increment_defect,
     reduce_nae3sat,
@@ -40,6 +41,25 @@ class TestNaeFormula:
         f = parse_nae_formula(text)
         assert f == FIG1
         assert parse_nae_formula(format_nae_formula(f)) == f
+
+    @pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"])
+    @pytest.mark.parametrize("sep", [" ", "\t", "\x1c", "\xa0", " \t "])
+    def test_line_breaks_and_separators_read_as_read_graph_reads_them(self, eol, sep):
+        def forms(*lines):
+            """The file as str and as the bytes a file read gives."""
+            text = eol.join(sep.join(line.split()) for line in lines) + eol
+            return text, text.encode()
+
+        for data in forms("p nae 4 2", "1 2 3 0", "1 3 4 0"):
+            assert parse_nae_formula(data) == FIG1
+        for data in forms("p edge 3 2", "e 1 2", "e 2 3"):
+            assert read_graph(data, "dimacs") == path(3)
+        for data in forms("c by hand", "p nae 3 1", "1 2 x 0"):
+            with pytest.raises(ParseError, match="^line 3: non-integer literal$"):
+                parse_nae_formula(data)
+        for data in forms("c by hand", "p edge 3 1", "e 1 x"):
+            with pytest.raises(ParseError, match="^line 3: non-integer endpoint$"):
+                read_graph(data, "dimacs")
 
     def test_bad_utf8_bytes_are_a_parse_error(self):
         with pytest.raises(ParseError, match="^line 2: not UTF-8 text$"):

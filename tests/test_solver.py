@@ -3,12 +3,13 @@ import random
 import sys
 from pathlib import Path
 
+from hypothesis import given, settings, strategies as st
 import pytest
 
 import exactcolor as xc
 from exactcolor import graphs
 
-from conftest import planted_cactus, relabeled_union
+from conftest import permuted, planted_cactus, relabeled_union
 
 
 def patch_graphs(monkeypatch, name, replacement, module=graphs):
@@ -109,6 +110,37 @@ def test_hub_over_several_rim_cycles_is_not_a_wheel(rims):
     assert xc.recognize(g).wheel_order is None
     rep, ref = xc.solve(g, 1), xc.brute_chi(g, 1)
     assert rep.chi == ref.chi and (rep.verdict == "infinite") == ref.is_infeasible
+
+
+@st.composite
+def small_queries(draw):
+    """A renumbered graph on at most 9 vertices, of any route's class, and d in 0..3."""
+    seed = draw(st.integers(0, 10**6))
+    g = draw(st.sampled_from([
+        lambda: xc.random_graph(draw(st.integers(0, 9)), draw(st.sampled_from([0.2, 0.5, 0.8])), seed),
+        lambda: xc.random_cactus(draw(st.integers(1, 9)), seed,
+                                 draw(st.sampled_from(["mixed", "bridged", "shared", "petaled"]))),
+        lambda: xc.random_block_graph(draw(st.integers(1, 9)), seed),
+        lambda: xc.wheel(draw(st.integers(4, 9))),
+    ]))()
+    return permuted(g, draw(st.permutations(range(g.n)))), draw(st.integers(0, 3))
+
+
+@given(small_queries())
+@settings(max_examples=400, deadline=None)
+def test_every_route_that_applies_agrees_with_the_oracle(query):
+    g, d = query
+    ref = xc.brute_chi(g, d)
+    assert ref.is_infeasible or xc.is_exact_coloring(g, ref.witness, d)
+    for algorithm in ("auto", "closedform", "cactus", "blockgraph"):
+        try:
+            rep = xc.solve(g, d, algorithm=algorithm)
+        except xc.ExactColoringError as exc:
+            assert algorithm != "auto" and str(exc) == f"no {algorithm} route applies to this graph at d = {d}"
+            continue
+        assert rep.chi == ref.chi, algorithm
+        assert rep.verdict == ("infinite" if ref.is_infeasible else "yes"), algorithm
+        assert ref.is_infeasible or xc.is_exact_coloring(g, rep.witness, d), algorithm
 
 
 def test_budget_bounds_every_search_of_a_solve():
